@@ -6,16 +6,29 @@ gradients additively into each tensor's grad field. The engine is double
 precision throughout and raises FloatingPointError the moment any forward
 value or gradient goes non-finite.
 
+An op's output requires a gradient when any of its inputs does. Only such
+outputs record a backward step, and a step forms and accumulates the
+gradient of an input only if that input requires one: a constant operand,
+such as the feature matrix fed to the first matmul, gets no product and no
+grad buffer.
+
 The one non-generic primitive is segment_mean_weighted, a gather/scatter
 aggregation over per-target source-id lists. It computes the weighted-mean
 message passing step directly from incidence indices, so the caller never
 builds the dense source-by-target matrix the operation is equivalent to.
+The scatter is one np.bincount over flat (target, column) bin ids, which a
+SegmentIndex builds once per row width and keeps. bincount adds its
+weights in input order, so each output entry is summed in the order of the
+index's pairs; the backward pass scatters through the transposed index,
+the same pairs stably sorted by source, so each gradient entry is summed in
+that order too. Both match a sequential np.add.at over the same pairs bit
+for bit.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
@@ -85,16 +98,23 @@ def _accumulate(t: Tensor, delta: np.ndarray) -> None:
         t.grad += delta
 
 
+def _result(values: np.ndarray, *inputs: Tensor) -> Tensor:
+    """An op's output: it requires a gradient when any input does."""
+    return Tensor(values, requires_grad=any(t.requires_grad for t in inputs))
+
+
 def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out = Tensor(a.values @ b.values)
-    if tape is not None:
+    out = _result(a.values @ b.values, a, b)
+    if tape is not None and out.requires_grad:
         def backward() -> None:
             if out.grad is None:
                 return
-            _accumulate(a, out.grad @ b.values.T)
-            _accumulate(b, a.values.T @ out.grad)
+            if a.requires_grad:
+                _accumulate(a, out.grad @ b.values.T)
+            if b.requires_grad:
+                _accumulate(b, a.values.T @ out.grad)
         tape.record(backward)
     return out
 
@@ -102,13 +122,15 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
 def add_bias(x: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     if b.shape != (1, x.shape[1]):
         raise ValueError(f"bias shape {b.shape} does not broadcast over {x.shape}")
-    out = Tensor(x.values + b.values)
-    if tape is not None:
+    out = _result(x.values + b.values, x, b)
+    if tape is not None and out.requires_grad:
         def backward() -> None:
             if out.grad is None:
                 return
-            _accumulate(x, out.grad)
-            _accumulate(b, out.grad.sum(axis=0, keepdims=True))
+            if x.requires_grad:
+                _accumulate(x, out.grad)
+            if b.requires_grad:
+                _accumulate(b, out.grad.sum(axis=0, keepdims=True))
         tape.record(backward)
     return out
 
@@ -116,20 +138,22 @@ def add_bias(x: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
 def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     if a.shape != b.shape:
         raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    out = Tensor(a.values + b.values)
-    if tape is not None:
+    out = _result(a.values + b.values, a, b)
+    if tape is not None and out.requires_grad:
         def backward() -> None:
             if out.grad is None:
                 return
-            _accumulate(a, out.grad)
-            _accumulate(b, out.grad)
+            if a.requires_grad:
+                _accumulate(a, out.grad)
+            if b.requires_grad:
+                _accumulate(b, out.grad)
         tape.record(backward)
     return out
 
 
 def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
-    out = Tensor(np.maximum(x.values, 0.0))
-    if tape is not None:
+    out = _result(np.maximum(x.values, 0.0), x)
+    if tape is not None and out.requires_grad:
         mask = x.values > 0.0
         def backward() -> None:
             if out.grad is None:
@@ -152,8 +176,8 @@ def dropout(
     if not training or rate == 0.0:
         return x
     keep = (rng.random(x.shape) >= rate).astype(np.float64) / (1.0 - rate)
-    out = Tensor(x.values * keep)
-    if tape is not None:
+    out = _result(x.values * keep, x)
+    if tape is not None and out.requires_grad:
         def backward() -> None:
             if out.grad is None:
                 return
@@ -168,8 +192,8 @@ def row_scale(x: Tensor, s: np.ndarray, tape: Tape | None = None) -> Tensor:
     if len(s) != x.shape[0]:
         raise ValueError(f"scale length {len(s)} does not match {x.shape[0]} rows")
     _ensure_finite(s, "row scales")
-    out = Tensor(x.values * s[:, None])
-    if tape is not None:
+    out = _result(x.values * s[:, None], x)
+    if tape is not None and out.requires_grad:
         def backward() -> None:
             if out.grad is None:
                 return
@@ -178,17 +202,22 @@ def row_scale(x: Tensor, s: np.ndarray, tape: Tape | None = None) -> Tensor:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SegmentIndex:
     """Flattened (target, source) incidence pairs for segment aggregation.
 
-    Pairs are ordered by target then ascending source id, making every
-    reduction order-deterministic.
+    Pairs from from_lists are ordered by target then ascending source id;
+    every reduction sums in pair order, so it is order-deterministic. An
+    index keeps, for the life of the object, its flat bin ids for each row
+    width it has aggregated and its transpose for each source count, so
+    reusing one index (Hypergraph.segment_indices) builds each only once.
     """
 
     n_targets: int
     target_ids: np.ndarray
     source_ids: np.ndarray
+    _bins: dict = field(default_factory=dict, init=False, repr=False)
+    _transposes: dict = field(default_factory=dict, init=False, repr=False)
 
     @staticmethod
     def from_lists(index_lists: Sequence[Sequence[int]]) -> "SegmentIndex":
@@ -204,6 +233,42 @@ class SegmentIndex:
             source_ids=np.asarray(sources, dtype=np.int64),
         )
 
+    def bins(self, width: int) -> np.ndarray:
+        """Flat bin id target * width + column of every (pair, column), pair-major."""
+        flat = self._bins.get(width)
+        if flat is None:
+            targets = np.asarray(self.target_ids, dtype=np.int64)[:, None]
+            flat = (targets * width + np.arange(width, dtype=np.int64)).ravel()
+            self._bins[width] = flat
+        return flat
+
+    def transposed(self, n_sources: int) -> "SegmentIndex":
+        """The same pairs keyed by source, for n_sources sources.
+
+        A stable sort by source keeps each source's targets in this index's
+        pair order, so a scatter through the transpose sums in the order a
+        sequential scatter through this index would. The transpose links
+        back to this index, so transposing it again builds nothing.
+        """
+        back = self._transposes.get(n_sources)
+        if back is None:
+            order = np.argsort(self.source_ids, kind="stable")
+            back = SegmentIndex(n_sources, self.source_ids[order], self.target_ids[order])
+            back._transposes[self.n_targets] = self
+            self._transposes[n_sources] = back
+        return back
+
+    def scatter_sum(self, rows: np.ndarray) -> np.ndarray:
+        """out[t] = sum of rows[k] over the pairs k with target t, in pair order.
+
+        rows holds one row per pair; a target with no pairs gets a zero row.
+        """
+        width = rows.shape[1]
+        summed = np.bincount(
+            self.bins(width), weights=rows.ravel(), minlength=self.n_targets * width
+        )
+        return summed.reshape(self.n_targets, width)
+
 
 def segment_mean_weighted(
     x: Tensor,
@@ -217,7 +282,8 @@ def segment_mean_weighted(
     Equivalent to the dense product D_l^{-1} A D_r x for the 0/1 incidence
     matrix A implied by index_lists, computed without materializing A.
     Backward distributes weights[s]/divisors[t] of each target gradient row
-    back to its contributing source rows.
+    back to its contributing source rows. Pass a prebuilt SegmentIndex to
+    reuse its cached bin ids and transpose across calls.
     """
     seg = index_lists if isinstance(index_lists, SegmentIndex) else SegmentIndex.from_lists(index_lists)
     weights = np.asarray(weights, dtype=np.float64).reshape(-1)
@@ -233,18 +299,16 @@ def segment_mean_weighted(
     if np.any(divisors <= 0.0):
         raise ValueError("segment divisors must be strictly positive")
 
-    acc = np.zeros((seg.n_targets, x.shape[1]), dtype=np.float64)
     scaled = x.values * weights[:, None]
-    np.add.at(acc, seg.target_ids, scaled[seg.source_ids])
-    out = Tensor(acc / divisors[:, None])
-    if tape is not None:
+    out = _result(seg.scatter_sum(scaled[seg.source_ids]) / divisors[:, None], x)
+    if tape is not None and out.requires_grad:
+        back = seg.transposed(n_src)
+
         def backward() -> None:
             if out.grad is None:
                 return
             spread = out.grad / divisors[:, None]
-            gx = np.zeros_like(x.values)
-            np.add.at(gx, seg.source_ids, spread[seg.target_ids])
-            _accumulate(x, gx * weights[:, None])
+            _accumulate(x, back.scatter_sum(spread[back.source_ids]) * weights[:, None])
         tape.record(backward)
     return out
 
@@ -278,8 +342,8 @@ def softmax_cross_entropy(
     shifted = rows - rows.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1))
     log_probs = shifted[np.arange(len(mask)), picked] - log_norm
-    out = Tensor([[-log_probs.mean()]])
-    if tape is not None:
+    out = _result([[-log_probs.mean()]], logits)
+    if tape is not None and out.requires_grad:
         def backward() -> None:
             if out.grad is None:
                 return
@@ -295,8 +359,8 @@ def softmax_cross_entropy(
 
 def tensor_sum(x: Tensor, tape: Tape | None = None) -> Tensor:
     """Scalar sum of all entries; handy for reducing to a backward seed."""
-    out = Tensor([[x.values.sum()]])
-    if tape is not None:
+    out = _result([[x.values.sum()]], x)
+    if tape is not None and out.requires_grad:
         def backward() -> None:
             if out.grad is None:
                 return

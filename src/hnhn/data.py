@@ -203,7 +203,9 @@ def tfidf_features(
 
     Terms in more than max_doc_freq of documents are discarded before the
     vocabulary is truncated to the vocab_size most frequent terms (raw
-    corpus counts, ties broken lexicographically).
+    corpus counts, ties broken lexicographically). A document none of whose
+    terms made the vocabulary has nothing to normalize and keeps an
+    all-zero row.
     """
     counts, vocabulary, doc_freq = _term_count_matrix(
         documents, vocab_size, max_doc_freq, ngrams
@@ -218,7 +220,8 @@ def bow_features(
     max_doc_freq: float = 0.2,
     ngrams: tuple[int, ...] = (1, 2),
 ) -> FeatureMatrix:
-    """Raw term counts over the same vocabulary construction, rows unit-L2."""
+    """Raw term counts over the same vocabulary construction, rows unit-L2
+    (all-zero for a document with no vocabulary term)."""
     counts, vocabulary, _ = _term_count_matrix(
         documents, vocab_size, max_doc_freq, ngrams
     )

@@ -17,6 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .autodiff import SegmentIndex
+
 
 @dataclass(frozen=True)
 class Hypergraph:
@@ -54,13 +56,16 @@ class Hypergraph:
         return edge_ids, node_ids
 
     @cached_property
-    def node_incidence_flat(self) -> tuple[np.ndarray, np.ndarray]:
-        """(node_id, edge_id) incidence pairs, flattened node-major."""
-        node_ids = np.repeat(np.arange(self.n, dtype=np.int64), self.node_degrees)
-        edge_ids = np.array(
-            [j for incident in self.node_to_edges for j in incident], dtype=np.int64
-        )
-        return node_ids, edge_ids
+    def segment_indices(self) -> tuple[SegmentIndex, SegmentIndex]:
+        """(into_edges, into_nodes): the aggregation indices of the convolution.
+
+        into_edges gathers member nodes into each edge in edge-major order;
+        into_nodes is its transpose, the same pairs node-major with each
+        node's edges ascending. Each serves the other's backward pass, and
+        both keep their bin ids per row width for the life of the hypergraph.
+        """
+        into_edges = SegmentIndex(self.m, *self.edge_incidence_flat)
+        return into_edges, into_edges.transposed(self.n)
 
     def edges(self) -> list[tuple[int, ...]]:
         return list(self.edge_to_nodes)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import (
-    SegmentIndex,
     Tape,
     Tensor,
     add_bias,
@@ -178,8 +177,7 @@ def _forward(
     if needs_dropout and rng is None:
         raise ValueError("training forward with dropout requires an rng")
 
-    into_edges = SegmentIndex(h.m, *h.edge_incidence_flat)
-    into_nodes = SegmentIndex(h.n, *h.node_incidence_flat)
+    into_edges, into_nodes = h.segment_indices
 
     def activate(t: Tensor) -> Tensor:
         return relu(t, tape) if with_nonlinearity else t

@@ -17,7 +17,12 @@ def random_hypergraph(
     max_size: int = 4,
 ) -> Hypergraph:
     """Uniform random hypergraph: each edge samples a size in [min_size,
-    max_size] and that many distinct nodes."""
+    max_size] and that many distinct nodes.
+
+    An edge's members are the `size` nodes with the smallest of n random
+    keys, ordered by (key, node id): the first `size` entries of
+    `rng.permutation(n)`, found by a partition instead of a full sort.
+    """
     if n < 1 or m < 0:
         raise ValueError(f"need n >= 1 and m >= 0, got n={n} m={m}")
     if not 1 <= min_size <= max_size <= n:
@@ -26,8 +31,17 @@ def random_hypergraph(
     edges = []
     for _ in range(m):
         size = min_size + int(rng.integers(max_size - min_size + 1, 1)[0])
-        edges.append(tuple(rng.permutation(n)[:size]))
+        edges.append(tuple(_smallest_keys(rng.random(n), size)))
     return build_hypergraph(edges, n)
+
+
+def _smallest_keys(keys: np.ndarray, size: int) -> np.ndarray:
+    """Indices of the `size` smallest keys in (key, index) order, the prefix
+    of np.argsort(keys, kind="stable"); keys tied with the cut are all kept
+    as candidates so ties resolve by index as the stable sort does."""
+    cut = np.partition(keys, size - 1)[size - 1]
+    candidates = np.flatnonzero(keys <= cut)
+    return candidates[np.argsort(keys[candidates], kind="stable")][:size]
 
 
 def planted_two_communities(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tape, Tensor, softmax_cross_entropy
-from .hypergraph import Hypergraph, normalization_tables
+from .hypergraph import Hypergraph, NormalizationTables, normalization_tables
 from .model import HnhnModel, edge_logits, forward, init_model, predict
 from .rng import CounterRng
 
@@ -126,12 +126,17 @@ def _check_masked_labels(labels: np.ndarray, mask: np.ndarray, what: str) -> Non
 
 def _train_loop(
     h: Hypergraph,
-    features: np.ndarray,
+    features: np.ndarray | Tensor,
     labels: np.ndarray,
     mask: np.ndarray,
     config: TrainConfig,
     on_edges: bool,
+    *,
+    tables: NormalizationTables | None = None,
 ) -> tuple[HnhnModel, RunMetrics]:
+    """Train one model; a caller fitting many on the same graph passes the
+    feature Tensor and the tables for (config.alpha, config.beta) to build
+    them once."""
     labels = np.asarray(labels, dtype=np.int64)
     mask = np.asarray(mask)
     _check_masked_labels(labels, mask, "edge" if on_edges else "node")
@@ -141,8 +146,9 @@ def _train_loop(
     if len(eval_rows) == 0:
         raise ValueError("no labeled rows left outside the training mask")
 
-    x = Tensor(np.asarray(features, dtype=np.float64))
-    tables = normalization_tables(h, config.alpha, config.beta)
+    x = features if isinstance(features, Tensor) else Tensor(np.asarray(features, dtype=np.float64))
+    if tables is None:
+        tables = normalization_tables(h, config.alpha, config.beta)
     model = init_model(
         x.shape[1],
         config.hidden_dim,
@@ -285,18 +291,19 @@ def cross_validate_alpha_beta(
             raise ValueError("a class is absent from some fold even after reseeding")
         fold_of = _assign_folds(labels, rows, folds, config.seed + 1)
 
+    x = Tensor(np.asarray(features, dtype=np.float64))
     cells = []
     for alpha, beta in grid:
         cell = CvCell(alpha=alpha, beta=beta, fold_accs=[])
         cell_config = config.with_overrides(alpha=alpha, beta=beta)
+        tables = normalization_tables(h, alpha, beta)
         for k in range(folds):
             train_mask = np.zeros(len(labels), dtype=bool)
             train_mask[rows[fold_of != k]] = True
             model, _ = _train_loop(
-                h, features, labels, train_mask, cell_config, on_edges=False
+                h, x, labels, train_mask, cell_config, on_edges=False, tables=tables
             )
-            tables = normalization_tables(h, alpha, beta)
-            out = forward(model, h, tables, Tensor(np.asarray(features, dtype=np.float64)))
+            out = forward(model, h, tables, x)
             held = rows[fold_of == k]
             cell.fold_accs.append(_accuracy(predict(out.node_logits), labels, held))
         cells.append(cell)

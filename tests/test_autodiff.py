@@ -22,6 +22,7 @@ from hnhn.autodiff import (
     tensor_sum,
     write_tensor,
 )
+from hnhn.hypergraph import build_hypergraph
 from hnhn.rng import CounterRng
 
 
@@ -157,6 +158,41 @@ class TestElementwiseOps:
         assert np.array_equal(x.grad, 2.0 * np.ones((1, 2)))
 
 
+class TestRequiresGrad:
+    def test_constant_matmul_operand_gets_no_gradient(self):
+        # A constant feature matrix fed to matmul, one fit step per tape:
+        # it must neither receive a gradient nor accumulate one across steps.
+        x = Tensor(np.arange(12.0).reshape(3, 4))
+        w = Tensor(np.ones((4, 2)), requires_grad=True)
+        for _ in range(2):
+            tape = Tape()
+            loss = tensor_sum(matmul(x, w, tape), tape)
+            assert loss.requires_grad and len(tape) == 2
+            w.zero_grad()
+            tape.backward(loss)
+            assert x.grad is None
+            assert np.array_equal(w.grad, x.values.T @ np.ones((3, 2)))
+
+    def test_ops_on_constants_record_nothing(self):
+        a = Tensor(np.ones((2, 2)))
+        b = Tensor(np.ones((1, 2)))
+        tape = Tape()
+        out = relu(add(add_bias(matmul(a, a, tape), b, tape), a, tape), tape)
+        out = segment_mean_weighted(out, [[0, 1]], np.ones(2), np.ones(1), tape)
+        assert not tensor_sum(out, tape).requires_grad
+        assert len(tape) == 0
+
+    def test_mixed_inputs_propagate_requires_grad(self):
+        const = Tensor(np.ones((2, 2)))
+        param = Tensor(np.ones((1, 2)), requires_grad=True)
+        tape = Tape()
+        out = add_bias(const, param, tape)
+        assert out.requires_grad
+        tape.backward(tensor_sum(out, tape))
+        assert const.grad is None
+        assert np.array_equal(param.grad, [[2.0, 2.0]])
+
+
 class TestDropout:
     def test_identity_when_not_training_or_zero_rate(self):
         x = Tensor(np.ones((3, 3)))
@@ -274,6 +310,83 @@ class TestSegmentMeanWeighted:
             segment_mean_weighted(x, self.LISTS, self.WEIGHTS, np.array([1.0, 0.0, 1.0, 1.0]))
         with pytest.raises(ValueError):
             segment_mean_weighted(x, [[0, 4]], np.ones(4), np.ones(1))
+
+
+def _add_at_reference(x, seg, weights, divisors, upstream):
+    """The sequential np.add.at scatter segment_mean_weighted must match bit
+    for bit: (forward output, gradient of x for the given output gradient)."""
+    acc = np.zeros((seg.n_targets, x.shape[1]))
+    np.add.at(acc, seg.target_ids, (x * weights[:, None])[seg.source_ids])
+    spread = upstream / divisors[:, None]
+    gx = np.zeros_like(x)
+    np.add.at(gx, seg.source_ids, spread[seg.target_ids])
+    return acc / divisors[:, None], gx * weights[:, None]
+
+
+def _forward_and_grad(x_values, seg, weights, divisors, upstream):
+    x = Tensor(x_values, requires_grad=True)
+    tape = Tape()
+    out = segment_mean_weighted(x, seg, weights, divisors, tape)
+    # Recorded last, so it runs first: seeds out.grad with an arbitrary
+    # upstream gradient instead of one shaped by a downstream loss.
+    tape.record(lambda: setattr(out, "grad", upstream))
+    tape.backward(Tensor([[0.0]]))
+    return out.values, x.grad
+
+
+class TestSegmentKernelMatchesAddAt:
+    # Node 5 is in no edge: a source in no target of the edge-major index
+    # and a target with no sources of the node-major one.
+    EDGES = [[0, 2, 3], [1, 2], [3, 4, 0, 2], [2, 4]]
+    N = 6
+
+    def _check(self, x_values, seg, weights, divisors, rng):
+        upstream = rng.normal(size=(seg.n_targets, x_values.shape[1]))
+        out, grad = _forward_and_grad(x_values, seg, weights, divisors, upstream)
+        ref_out, ref_grad = _add_at_reference(x_values, seg, weights, divisors, upstream)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(grad, ref_grad)
+
+    def test_lists_with_empty_target_and_unused_source(self):
+        rng = np.random.default_rng(20)
+        lists = [[4, 0, 2], [], [2, 1], [2]]
+        seg = SegmentIndex.from_lists(lists)
+        weights = rng.uniform(0.5, 2.0, 6)
+        divisors = rng.uniform(0.5, 3.0, 4)
+        for width in (1, 7):
+            self._check(rng.normal(size=(6, width)), seg, weights, divisors, rng)
+
+    def test_hypergraph_indices_in_both_directions_and_widths(self):
+        rng = np.random.default_rng(21)
+        h = build_hypergraph(self.EDGES, self.N)
+        into_edges, into_nodes = h.segment_indices
+        node_w, node_d = rng.uniform(0.5, 2.0, h.n), rng.uniform(0.5, 3.0, h.m)
+        edge_w, edge_d = rng.uniform(0.5, 2.0, h.m), rng.uniform(0.5, 3.0, h.n)
+        # Widths alternate on the same cached indices, so a cache keyed on
+        # anything but the width would hand one width's bins to the other.
+        for width in (7, 1, 7, 1):
+            self._check(rng.normal(size=(h.n, width)), into_edges, node_w, node_d, rng)
+            self._check(rng.normal(size=(h.m, width)), into_nodes, edge_w, edge_d, rng)
+
+    def test_sums_with_many_terms_follow_pair_order(self):
+        # Long sums of values spanning many magnitudes round differently in
+        # any other order, so equality pins the summation order down.
+        rng = np.random.default_rng(22)
+        n, targets = 40, 5
+        lists = [sorted(rng.choice(n, size=30, replace=False).tolist()) for _ in range(targets)]
+        seg = SegmentIndex.from_lists(lists)
+        x_values = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-8, 8, size=(n, 1))
+        self._check(x_values, seg, np.ones(n), np.ones(targets), rng)
+
+    def test_transpose_is_cached_and_links_back(self):
+        seg = SegmentIndex.from_lists([[1, 0], [2]])
+        back = seg.transposed(3)
+        assert back is seg.transposed(3)
+        assert back.transposed(2) is seg
+        assert np.array_equal(back.target_ids, [0, 1, 2])
+        assert np.array_equal(back.source_ids, [0, 0, 1])
+        assert seg.bins(2) is seg.bins(2)
+        assert np.array_equal(seg.bins(2), [0, 1, 0, 1, 2, 3])
 
 
 class TestSoftmaxCrossEntropy:

@@ -177,6 +177,16 @@ class TestTfidfFeatures:
         assert abs(norms[1] - 1.0) < 1e-12
         assert norms[2] == 0.0
 
+    def test_document_with_no_vocabulary_term_keeps_a_zero_row(self):
+        # "rare" has one occurrence and falls below the three-term cut, so
+        # the last document has a term but none in the vocabulary.
+        docs = ["aa aa bb bb", "aa cc cc", "bb cc", "rare"]
+        feats = tfidf_features(docs, vocab_size=3, max_doc_freq=0.9, ngrams=(1,))
+        assert "rare" not in feats.vocabulary
+        assert np.array_equal(feats.matrix[3], np.zeros(3))
+        norms = np.linalg.norm(feats.matrix[:3], axis=1)
+        assert np.max(np.abs(norms - 1.0)) < 1e-12
+
     def test_vocabulary_ranked_by_count_then_lexicographic(self):
         docs = ["bb aa", "bb cc", "dd"]
         feats = tfidf_features(docs, max_doc_freq=0.9, ngrams=(1,))

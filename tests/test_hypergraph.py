@@ -51,9 +51,18 @@ def test_incidence_flat_pairs_are_duals():
         h = build_hypergraph(edges, n)
         edge_ids, node_ids = h.edge_incidence_flat
         pairs = set(zip(edge_ids.tolist(), node_ids.tolist()))
-        node_ids2, edge_ids2 = h.node_incidence_flat
-        assert pairs == set(zip(edge_ids2.tolist(), node_ids2.tolist()))
         assert len(pairs) == h.incidence_count
+        # The aggregation indices: the edge-major pairs, and their transpose,
+        # node-major with each node's edges ascending, which links back.
+        into_edges, into_nodes = h.segment_indices
+        assert np.array_equal(into_edges.target_ids, edge_ids)
+        assert np.array_equal(into_edges.source_ids, node_ids)
+        node_major = [(i, j) for i, incident in enumerate(h.node_to_edges) for j in incident]
+        assert list(zip(into_nodes.target_ids.tolist(), into_nodes.source_ids.tolist())) == node_major
+        assert set((j, i) for i, j in node_major) == pairs
+        assert (into_edges.n_targets, into_nodes.n_targets) == (h.m, h.n)
+        assert into_edges.transposed(h.n) is into_nodes
+        assert into_nodes.transposed(h.m) is into_edges
 
 
 class TestPrune:

@@ -1,9 +1,14 @@
 """Model-level tests: hand-computed fixtures, equivariance, reference
 implementations, checkpoint round trips, and the Fano separation witness."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import hnhn
 from hnhn.autodiff import Tensor
 from hnhn.expansion import (
     fano_pair,
@@ -394,3 +399,32 @@ class TestInitModel:
         assert params[-4] is model.node_head_weight
         assert params[-1] is model.edge_head_bias
         assert len(params) == 2 + 4 * 2 + 4
+
+
+def test_forward_and_backward_never_import_scipy():
+    # scipy.sparse alone adds about 22 MB of resident memory to a process;
+    # the package must run on NumPy only.
+    script = """
+import sys
+import numpy as np
+from hnhn.autodiff import Tape, Tensor, softmax_cross_entropy
+from hnhn.hypergraph import normalization_tables
+from hnhn.model import forward, init_model
+from hnhn.rng import CounterRng
+from hnhn.synthetic import random_hypergraph
+h = random_hypergraph(20, 12, seed=1, min_size=2)
+model = init_model(5, 4, 2, seed=1)
+tables = normalization_tables(h, 0.5, 0.0)
+tape = Tape()
+out = forward(model, h, tables, Tensor(np.ones((20, 5))), training=True, rng=CounterRng(2), tape=tape)
+loss = softmax_cross_entropy(out.node_logits, np.arange(20) % 2, np.arange(10), tape)
+tape.backward(loss)
+assert model.input_weight.grad is not None
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hnhn.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
