@@ -6,11 +6,13 @@ gradients additively into each tensor's grad field. The engine is double
 precision throughout and raises FloatingPointError the moment any forward
 value or gradient goes non-finite.
 
-An op's output requires a gradient when any of its inputs does. Only such
-outputs record a backward step, and a step forms and accumulates the
-gradient of an input only if that input requires one: a constant operand,
-such as the feature matrix fed to the first matmul, gets no product and no
-grad buffer.
+Every op ends in one call to _op, which holds the gradient rule: an op's
+output requires a gradient when any of its inputs does, only such outputs
+record a backward step, and a step forms and accumulates the gradient of an
+input only if that input requires one. So a constant operand, such as the
+feature matrix fed to the first matmul, gets no product and no grad buffer.
+An op hands _op one grad_of function per input and computes anything only
+the backward pass needs, such as the ReLU mask, inside it.
 
 The one non-generic primitive is segment_mean_weighted, a gather/scatter
 aggregation over per-target source-id lists. It computes the weighted-mean
@@ -70,9 +72,6 @@ class Tape:
     def record(self, step: Callable[[], None]) -> None:
         self._steps.append(step)
 
-    def clear(self) -> None:
-        self._steps.clear()
-
     def __len__(self) -> int:
         return len(self._steps)
 
@@ -98,69 +97,56 @@ def _accumulate(t: Tensor, delta: np.ndarray) -> None:
         t.grad += delta
 
 
-def _result(values: np.ndarray, *inputs: Tensor) -> Tensor:
-    """An op's output: it requires a gradient when any input does."""
-    return Tensor(values, requires_grad=any(t.requires_grad for t in inputs))
+def _op(values, tape: Tape | None, *inputs: tuple[Tensor, Callable]) -> Tensor:
+    """An op's output, recording its backward step on tape when it needs one.
+
+    Each input is a pair (tensor, grad_of), where grad_of maps the output's
+    gradient to that input's. The output requires a gradient when any input
+    does, and only then is a step recorded; the step accumulates grad_of of
+    the output gradient into each input that requires one, in input order.
+    """
+    out = Tensor(values, requires_grad=any(t.requires_grad for t, _ in inputs))
+    if tape is not None and out.requires_grad:
+        def backward() -> None:
+            if out.grad is None:
+                return
+            for t, grad_of in inputs:
+                if t.requires_grad:
+                    _accumulate(t, grad_of(out.grad))
+        tape.record(backward)
+    return out
 
 
 def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out = _result(a.values @ b.values, a, b)
-    if tape is not None and out.requires_grad:
-        def backward() -> None:
-            if out.grad is None:
-                return
-            if a.requires_grad:
-                _accumulate(a, out.grad @ b.values.T)
-            if b.requires_grad:
-                _accumulate(b, a.values.T @ out.grad)
-        tape.record(backward)
-    return out
+    return _op(
+        a.values @ b.values,
+        tape,
+        (a, lambda g: g @ b.values.T),
+        (b, lambda g: a.values.T @ g),
+    )
 
 
 def add_bias(x: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     if b.shape != (1, x.shape[1]):
         raise ValueError(f"bias shape {b.shape} does not broadcast over {x.shape}")
-    out = _result(x.values + b.values, x, b)
-    if tape is not None and out.requires_grad:
-        def backward() -> None:
-            if out.grad is None:
-                return
-            if x.requires_grad:
-                _accumulate(x, out.grad)
-            if b.requires_grad:
-                _accumulate(b, out.grad.sum(axis=0, keepdims=True))
-        tape.record(backward)
-    return out
+    return _op(
+        x.values + b.values,
+        tape,
+        (x, lambda g: g),
+        (b, lambda g: g.sum(axis=0, keepdims=True)),
+    )
 
 
 def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     if a.shape != b.shape:
         raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    out = _result(a.values + b.values, a, b)
-    if tape is not None and out.requires_grad:
-        def backward() -> None:
-            if out.grad is None:
-                return
-            if a.requires_grad:
-                _accumulate(a, out.grad)
-            if b.requires_grad:
-                _accumulate(b, out.grad)
-        tape.record(backward)
-    return out
+    return _op(a.values + b.values, tape, (a, lambda g: g), (b, lambda g: g))
 
 
 def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
-    out = _result(np.maximum(x.values, 0.0), x)
-    if tape is not None and out.requires_grad:
-        mask = x.values > 0.0
-        def backward() -> None:
-            if out.grad is None:
-                return
-            _accumulate(x, out.grad * mask)
-        tape.record(backward)
-    return out
+    return _op(np.maximum(x.values, 0.0), tape, (x, lambda g: g * (x.values > 0.0)))
 
 
 def dropout(
@@ -176,14 +162,7 @@ def dropout(
     if not training or rate == 0.0:
         return x
     keep = (rng.random(x.shape) >= rate).astype(np.float64) / (1.0 - rate)
-    out = _result(x.values * keep, x)
-    if tape is not None and out.requires_grad:
-        def backward() -> None:
-            if out.grad is None:
-                return
-            _accumulate(x, out.grad * keep)
-        tape.record(backward)
-    return out
+    return _op(x.values * keep, tape, (x, lambda g: g * keep))
 
 
 def row_scale(x: Tensor, s: np.ndarray, tape: Tape | None = None) -> Tensor:
@@ -192,14 +171,7 @@ def row_scale(x: Tensor, s: np.ndarray, tape: Tape | None = None) -> Tensor:
     if len(s) != x.shape[0]:
         raise ValueError(f"scale length {len(s)} does not match {x.shape[0]} rows")
     _ensure_finite(s, "row scales")
-    out = _result(x.values * s[:, None], x)
-    if tape is not None and out.requires_grad:
-        def backward() -> None:
-            if out.grad is None:
-                return
-            _accumulate(x, out.grad * s[:, None])
-        tape.record(backward)
-    return out
+    return _op(x.values * s[:, None], tape, (x, lambda g: g * s[:, None]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,17 +272,13 @@ def segment_mean_weighted(
         raise ValueError("segment divisors must be strictly positive")
 
     scaled = x.values * weights[:, None]
-    out = _result(seg.scatter_sum(scaled[seg.source_ids]) / divisors[:, None], x)
-    if tape is not None and out.requires_grad:
-        back = seg.transposed(n_src)
 
-        def backward() -> None:
-            if out.grad is None:
-                return
-            spread = out.grad / divisors[:, None]
-            _accumulate(x, back.scatter_sum(spread[back.source_ids]) * weights[:, None])
-        tape.record(backward)
-    return out
+    def grad_of(g: np.ndarray) -> np.ndarray:
+        back = seg.transposed(n_src)
+        spread = g / divisors[:, None]
+        return back.scatter_sum(spread[back.source_ids]) * weights[:, None]
+
+    return _op(seg.scatter_sum(scaled[seg.source_ids]) / divisors[:, None], tape, (x, grad_of))
 
 
 def softmax_cross_entropy(
@@ -342,31 +310,21 @@ def softmax_cross_entropy(
     shifted = rows - rows.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1))
     log_probs = shifted[np.arange(len(mask)), picked] - log_norm
-    out = _result([[-log_probs.mean()]], logits)
-    if tape is not None and out.requires_grad:
-        def backward() -> None:
-            if out.grad is None:
-                return
-            probs = np.exp(shifted - log_norm[:, None])
-            probs[np.arange(len(mask)), picked] -= 1.0
-            probs *= out.grad[0, 0] / len(mask)
-            gx = np.zeros_like(logits.values)
-            np.add.at(gx, mask, probs)
-            _accumulate(logits, gx)
-        tape.record(backward)
-    return out
+
+    def grad_of(g: np.ndarray) -> np.ndarray:
+        probs = np.exp(shifted - log_norm[:, None])
+        probs[np.arange(len(mask)), picked] -= 1.0
+        probs *= g[0, 0] / len(mask)
+        gx = np.zeros_like(logits.values)
+        np.add.at(gx, mask, probs)
+        return gx
+
+    return _op([[-log_probs.mean()]], tape, (logits, grad_of))
 
 
 def tensor_sum(x: Tensor, tape: Tape | None = None) -> Tensor:
     """Scalar sum of all entries; handy for reducing to a backward seed."""
-    out = _result([[x.values.sum()]], x)
-    if tape is not None and out.requires_grad:
-        def backward() -> None:
-            if out.grad is None:
-                return
-            _accumulate(x, np.full_like(x.values, out.grad[0, 0]))
-        tape.record(backward)
-    return out
+    return _op([[x.values.sum()]], tape, (x, lambda g: np.full_like(x.values, g[0, 0])))
 
 
 _HEADER = struct.Struct("<QQ")

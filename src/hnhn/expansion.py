@@ -13,22 +13,17 @@ convolution to plain graph convolution on the expansions:
 - check_weight_tied: with shared weights/biases and plain-sum aggregation,
   the two-sided update equals graph convolution on B applied to the
   zero-padded concatenated state.
-
-Eigenvalues are computed with a cyclic Jacobi rotation sweep so the module
-needs no external linear-algebra routines.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
 from hnhn.hypergraph import Hypergraph, build_hypergraph
 
 DEFAULT_SIZE_CAP = 10_000
-JACOBI_MAX_DIM = 200
 
 # 7-point projective plane: every pair of nodes shares exactly one edge.
 FANO_EDGES: tuple[tuple[int, ...], ...] = (
@@ -84,9 +79,8 @@ def graph_convolution_step(
     x: np.ndarray,
     w: np.ndarray,
     b: np.ndarray,
-    with_nonlinearity: bool = True,
 ) -> np.ndarray:
-    """One plain graph convolution: sigma(adj @ x @ w + b), bias broadcast per row."""
+    """One plain graph convolution: relu(adj @ x @ w + b), bias broadcast per row."""
     adj = np.asarray(adj, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
@@ -97,10 +91,7 @@ def graph_convolution_step(
         raise ValueError(f"features {x.shape} do not match weights {w.shape}")
     if b.shape[1] != w.shape[1]:
         raise ValueError(f"bias {b.shape} does not match weights {w.shape}")
-    out = adj @ x @ w + b
-    if with_nonlinearity:
-        out = np.maximum(out, 0.0)
-    return out
+    return np.maximum(adj @ x @ w + b, 0.0)
 
 
 def _gather_edge_sums(h: Hypergraph, x_nodes: np.ndarray) -> np.ndarray:
@@ -178,73 +169,26 @@ def check_weight_tied(
     cur_nodes = np.asarray(x_v, dtype=np.float64)
     for _ in range(layers):
         cur_edges = np.maximum(_gather_edge_sums(h, cur_nodes) @ w + b, 0.0)
-        state = graph_convolution_step(big, state, w, b, with_nonlinearity=True)
+        state = graph_convolution_step(big, state, w, b)
         state[: h.n] = 0.0
         if np.max(np.abs(state[h.n :] - cur_edges)) >= tol:
             return False
         cur_nodes = np.maximum(_gather_node_sums(h, cur_edges) @ w + b, 0.0)
-        state = graph_convolution_step(big, state, w, b, with_nonlinearity=True)
+        state = graph_convolution_step(big, state, w, b)
         state[h.n :] = 0.0
         if np.max(np.abs(state[: h.n] - cur_nodes)) >= tol:
             return False
     return True
 
 
-def symmetric_eigenvalues(
-    mat: np.ndarray,
-    off_diag_tol: float = 1e-10,
-    max_sweeps: int = 100,
-) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending, via cyclic Jacobi rotations.
-
-    Sweeps rotate every off-diagonal pair until the off-diagonal Frobenius
-    norm drops below off_diag_tol. Dimension is capped at JACOBI_MAX_DIM;
-    asymmetric input is rejected.
-    """
+def symmetric_eigenvalues(mat: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a symmetric matrix, ascending; asymmetric input is rejected."""
     a = np.array(mat, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    n = a.shape[0]
-    if n > JACOBI_MAX_DIM:
-        raise ValueError(f"dimension {n} exceeds Jacobi cap {JACOBI_MAX_DIM}")
     if np.max(np.abs(a - a.T), initial=0.0) > 1e-12:
         raise ValueError("matrix is not symmetric")
-    if n == 0:
-        return np.array([])
-    if n == 1:
-        return a[0, :1].copy()
-
-    def off_norm(mat_: np.ndarray) -> float:
-        off = mat_ - np.diag(np.diag(mat_))
-        return float(np.sqrt((off * off).sum()))
-
-    for _ in range(max_sweeps):
-        if off_norm(a) < off_diag_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < 1e-300:
-                    continue
-                # Rotation angle that zeroes a[p, q]; hypot keeps theta^2
-                # from overflowing when apq is tiny.
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :] = rot_p
-                a[q, :] = rot_q
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p] = rot_p
-                a[:, q] = rot_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    else:
-        raise RuntimeError("Jacobi sweep did not converge")
-    return np.sort(np.diag(a))
+    return np.linalg.eigvalsh(a)
 
 
 def fano_pair() -> tuple[Hypergraph, Hypergraph]:

@@ -67,9 +67,6 @@ class Hypergraph:
         into_edges = SegmentIndex(self.m, *self.edge_incidence_flat)
         return into_edges, into_edges.transposed(self.n)
 
-    def edges(self) -> list[tuple[int, ...]]:
-        return list(self.edge_to_nodes)
-
 
 @dataclass(frozen=True)
 class NormalizationTables:
@@ -148,36 +145,21 @@ def prune(
     drop_dangling_nodes: bool = True,
     drop_singleton_edges: bool = True,
 ) -> tuple[Hypergraph, PruneRemap]:
-    """Remove degree-0 nodes and/or size-1 edges, iterating to a fixed point.
+    """Remove degree-0 nodes and/or size-1 edges, to a fixed point.
 
-    Removing a singleton edge can strand its node, so removal alternates
-    until neither rule fires. The returned remapping is dense and
-    order-preserving; removed ids map to -1. May return an empty
-    hypergraph.
+    Removing a singleton edge can strand its node, so node degrees are
+    counted over the kept edges. A dropped node belongs to no kept edge, so
+    no edge shrinks and one pass of each rule reaches the fixed point. The
+    returned remapping is dense and order-preserving; removed ids map to -1.
+    May return an empty hypergraph.
     """
-    keep_nodes = np.ones(h.n, dtype=bool)
     keep_edges = np.ones(h.m, dtype=bool)
-
-    # Node removal never shrinks an edge (a dangling node belongs to no kept
-    # edge), so only the edge->node cascade needs the fixed-point loop.
-    changed = True
-    while changed:
-        changed = False
-        if drop_singleton_edges:
-            for j in range(h.m):
-                if keep_edges[j] and len(h.edge_to_nodes[j]) <= 1:
-                    keep_edges[j] = False
-                    changed = True
-        if drop_dangling_nodes:
-            degree = np.zeros(h.n, dtype=np.int64)
-            for j in range(h.m):
-                if keep_edges[j]:
-                    for i in h.edge_to_nodes[j]:
-                        degree[i] += 1
-            newly_dropped = keep_nodes & (degree == 0)
-            if newly_dropped.any():
-                keep_nodes[newly_dropped] = False
-                changed = True
+    if drop_singleton_edges:
+        keep_edges &= h.edge_sizes > 1
+    keep_nodes = np.ones(h.n, dtype=bool)
+    if drop_dangling_nodes:
+        edge_ids, node_ids = h.edge_incidence_flat
+        keep_nodes = np.bincount(node_ids[keep_edges[edge_ids]], minlength=h.n) > 0
 
     node_map = np.full(h.n, -1, dtype=np.int64)
     node_map[keep_nodes] = np.arange(int(keep_nodes.sum()))
@@ -208,14 +190,15 @@ def normalization_tables(h: Hypergraph, alpha: float, beta: float) -> Normalizat
     edge_scale_alpha = _degree_power(h.edge_sizes, alpha)
     node_scale_beta = _degree_power(h.node_degrees, beta)
 
-    node_divisor_alpha = np.zeros(h.n, dtype=np.float64)
-    for i, incident in enumerate(h.node_to_edges):
-        for j in incident:
-            node_divisor_alpha[i] += edge_scale_alpha[j]
-    edge_divisor_beta = np.zeros(h.m, dtype=np.float64)
-    for j, members in enumerate(h.edge_to_nodes):
-        for i in members:
-            edge_divisor_beta[j] += node_scale_beta[i]
+    # bincount adds in pair order: each node's edges and each edge's
+    # members ascending by id. With no pairs at all it returns integers.
+    edge_ids, node_ids = h.edge_incidence_flat
+    node_divisor_alpha = np.bincount(
+        node_ids, weights=edge_scale_alpha[edge_ids], minlength=h.n
+    ).astype(np.float64, copy=False)
+    edge_divisor_beta = np.bincount(
+        edge_ids, weights=node_scale_beta[node_ids], minlength=h.m
+    ).astype(np.float64, copy=False)
 
     # Degree-0 entities: divisor 1 makes the aggregation emit zeros.
     node_divisor_alpha[node_divisor_alpha == 0.0] = 1.0

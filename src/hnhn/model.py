@@ -150,22 +150,6 @@ def forward(
     rng: CounterRng | None = None,
     tape: Tape | None = None,
 ) -> ForwardResult:
-    return _forward(
-        model, h, tables, node_features, training=training, rng=rng, tape=tape
-    )
-
-
-def _forward(
-    model: HnhnModel,
-    h: Hypergraph,
-    tables: NormalizationTables,
-    node_features: Tensor,
-    *,
-    training: bool,
-    rng: CounterRng | None,
-    tape: Tape | None,
-    with_nonlinearity: bool = True,
-) -> ForwardResult:
     if node_features.shape != (h.n, model.feature_dim):
         raise ValueError(
             f"feature shape {node_features.shape} does not match "
@@ -178,32 +162,30 @@ def _forward(
         raise ValueError("training forward with dropout requires an rng")
 
     into_edges, into_nodes = h.segment_indices
-
-    def activate(t: Tensor) -> Tensor:
-        return relu(t, tape) if with_nonlinearity else t
-
     x = add_bias(matmul(node_features, model.input_weight, tape), model.input_bias, tape)
     edge_state = Tensor(np.zeros((h.m, model.hidden_dim)))
     for layer in range(model.n_layers):
         gathered = segment_mean_weighted(
             x, into_edges, tables.node_scale_beta, tables.edge_divisor_beta, tape
         )
-        edge_state = activate(
+        edge_state = relu(
             add_bias(
                 matmul(gathered, model.edge_weights[layer], tape),
                 model.edge_biases[layer],
                 tape,
-            )
+            ),
+            tape,
         )
         scattered = segment_mean_weighted(
             edge_state, into_nodes, tables.edge_scale_alpha, tables.node_divisor_alpha, tape
         )
-        x = activate(
+        x = relu(
             add_bias(
                 matmul(scattered, model.node_weights[layer], tape),
                 model.node_biases[layer],
                 tape,
-            )
+            ),
+            tape,
         )
         if needs_dropout and layer < model.n_layers - 1:
             x = dropout(x, model.dropout_rate, training=True, rng=rng, tape=tape)

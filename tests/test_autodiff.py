@@ -178,6 +178,9 @@ class TestRequiresGrad:
         b = Tensor(np.ones((1, 2)))
         tape = Tape()
         out = relu(add(add_bias(matmul(a, a, tape), b, tape), a, tape), tape)
+        out = dropout(out, 0.5, training=True, rng=CounterRng(0), tape=tape)
+        out = row_scale(out, np.array([2.0, 3.0]), tape)
+        assert not softmax_cross_entropy(out, np.array([0, 1]), np.array([0, 1]), tape).requires_grad
         out = segment_mean_weighted(out, [[0, 1]], np.ones(2), np.ones(1), tape)
         assert not tensor_sum(out, tape).requires_grad
         assert len(tape) == 0

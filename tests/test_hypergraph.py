@@ -65,6 +65,71 @@ def test_incidence_flat_pairs_are_duals():
         assert into_nodes.transposed(h.m) is into_edges
 
 
+def _loop_divisors(h, edge_scale, node_scale):
+    """The per-node and per-edge divisor sums as plain loops, in id order."""
+    node_divisor = np.zeros(h.n)
+    for i, incident in enumerate(h.node_to_edges):
+        for j in incident:
+            node_divisor[i] += edge_scale[j]
+    edge_divisor = np.zeros(h.m)
+    for j, members in enumerate(h.edge_to_nodes):
+        for i in members:
+            edge_divisor[j] += node_scale[i]
+    node_divisor[node_divisor == 0.0] = 1.0
+    edge_divisor[edge_divisor == 0.0] = 1.0
+    return node_divisor, edge_divisor
+
+
+def _loop_prune_masks(h, drop_dangling, drop_singletons):
+    """Kept-node and kept-edge masks of the alternating fixed-point loop."""
+    keep_nodes = np.ones(h.n, dtype=bool)
+    keep_edges = np.ones(h.m, dtype=bool)
+    changed = True
+    while changed:
+        changed = False
+        if drop_singletons:
+            for j in range(h.m):
+                if keep_edges[j] and len(h.edge_to_nodes[j]) <= 1:
+                    keep_edges[j] = False
+                    changed = True
+        if drop_dangling:
+            degree = np.zeros(h.n, dtype=np.int64)
+            for j in range(h.m):
+                if keep_edges[j]:
+                    for i in h.edge_to_nodes[j]:
+                        degree[i] += 1
+            newly_dropped = keep_nodes & (degree == 0)
+            if newly_dropped.any():
+                keep_nodes[newly_dropped] = False
+                changed = True
+    return keep_nodes, keep_edges
+
+
+def test_tables_and_prune_match_loop_reference():
+    rng = np.random.default_rng(3)
+    n = 60
+    edges = [tuple(rng.choice(n - 1, size=int(rng.integers(2, 7)), replace=False)) for _ in range(25)]
+    edges.append((7,))  # a singleton edge; node n - 1 is in no edge
+    h = build_hypergraph(edges, n)
+    assert h.node_degrees[n - 1] == 0
+    for alpha, beta in [(0.0, 0.0), (1.0, -0.5), (-0.75, 0.25), (0.3, 1.7)]:
+        tables = normalization_tables(h, alpha, beta)
+        node_divisor, edge_divisor = _loop_divisors(
+            h, tables.edge_scale_alpha, tables.node_scale_beta
+        )
+        assert np.array_equal(tables.node_divisor_alpha, node_divisor)
+        assert np.array_equal(tables.edge_divisor_beta, edge_divisor)
+    for flags in [(True, True), (True, False), (False, True), (False, False)]:
+        pruned, remap = prune(h, *flags)
+        keep_nodes, keep_edges = _loop_prune_masks(h, *flags)
+        assert np.array_equal(remap.node_map >= 0, keep_nodes)
+        assert np.array_equal(remap.edge_map >= 0, keep_edges)
+        assert (pruned.n, pruned.m) == (keep_nodes.sum(), keep_edges.sum())
+    edgeless = normalization_tables(build_hypergraph([], 3), 0.5, 0.5)
+    assert edgeless.node_divisor_alpha.dtype == np.float64
+    assert np.array_equal(edgeless.node_divisor_alpha, np.ones(3))
+
+
 class TestPrune:
     def test_drops_singletons_then_dangling(self):
         # Singleton edge {2} goes away, leaving node 2 dangling.

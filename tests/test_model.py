@@ -13,7 +13,6 @@ from hnhn.autodiff import Tensor
 from hnhn.expansion import (
     fano_pair,
     graph_convolution_step,
-    incidence_matrix,
     star_adjacency,
 )
 from hnhn.hypergraph import (
@@ -24,7 +23,6 @@ from hnhn.hypergraph import (
 )
 from hnhn.model import (
     HnhnModel,
-    _forward,
     distinguishability_test,
     edge_logits,
     forward,
@@ -184,30 +182,6 @@ class TestReferenceAgreement:
         assert np.max(np.abs(out.node_logits.values - logits)) < 1e-12
         assert np.max(np.abs(out.edge_state.values - edge)) < 1e-12
         assert np.max(np.abs(out.node_state.values - node)) < 1e-12
-
-    def test_identity_sigma_one_layer_matches_collapsed_form(self):
-        # Test hook: nonlinearity off, unit scaling. One layer then equals
-        # the dense two-step A (A^T x W_E + b_E) W_V + b_V on the projection.
-        h = random_hypergraph(9, 6, seed=5, max_size=4)
-        model = init_model(3, 4, n_classes=2, n_layers=1, dropout_rate=0.0, seed=6)
-        features = np.random.default_rng(7).normal(size=(9, 3))
-        out = _forward(
-            model,
-            h,
-            unit_tables(h),
-            Tensor(features),
-            training=False,
-            rng=None,
-            tape=None,
-            with_nonlinearity=False,
-        )
-        a = incidence_matrix(h)
-        projected = features @ model.input_weight.values + model.input_bias.values
-        w_e, b_e = model.edge_weights[0].values, model.edge_biases[0].values
-        w_v, b_v = model.node_weights[0].values, model.node_biases[0].values
-        expected = (a @ a.T) @ projected @ (w_e @ w_v)
-        expected += a.sum(axis=1)[:, None] * (b_e @ w_v) + b_v
-        assert np.max(np.abs(out.node_state.values - expected)) < 1e-9
 
     def test_weight_tied_unit_scaling_matches_star_convolution(self):
         # W_E = W_V, b_E = b_V, unit scaling: each layer is two alternating
