@@ -140,6 +140,12 @@ def init_model(
     return model
 
 
+def _draws_dropout(model: HnhnModel, training: bool) -> bool:
+    """Whether a forward pass draws dropout masks: only in training, at a
+    positive rate, and between layers, so a one-layer model never does."""
+    return training and model.dropout_rate > 0.0 and model.n_layers > 1
+
+
 def forward(
     model: HnhnModel,
     h: Hypergraph,
@@ -157,7 +163,7 @@ def forward(
         )
     if len(tables.node_scale_beta) != h.n or len(tables.edge_scale_alpha) != h.m:
         raise ValueError("normalization tables were built for a different hypergraph")
-    needs_dropout = training and model.dropout_rate > 0.0 and model.n_layers > 1
+    needs_dropout = _draws_dropout(model, training)
     if needs_dropout and rng is None:
         raise ValueError("training forward with dropout requires an rng")
 

@@ -1,10 +1,16 @@
-"""Training tests: Adam against a textbook scalar reference, the learning
-rate schedule, loop determinism, and (alpha, beta) cross-validation."""
+"""Training tests: Adam against a textbook scalar reference and the
+allocating whole-array formula, the learning rate schedule, loop determinism,
+the one-forward loop against the two-forward loop it replaced, and (alpha,
+beta) cross-validation."""
 
 import numpy as np
 import pytest
 
-from hnhn.autodiff import Tensor
+from hnhn import training
+from hnhn.autodiff import Tape, Tensor, softmax_cross_entropy
+from hnhn.hypergraph import normalization_tables
+from hnhn.model import edge_logits, forward, init_model, predict
+from hnhn.rng import CounterRng
 from hnhn.synthetic import identity_features, planted_two_communities, random_hypergraph
 from hnhn.training import (
     DEFAULT_SWEEP_VALUES,
@@ -37,7 +43,56 @@ def _reference_adam(grads, lr, steps=None, beta1=0.9, beta2=0.999, eps=1e-8):
     return trajectory
 
 
+def _allocating_adam_step(params, grads, state, lr):
+    """The whole-array Adam step that adam_step replaced, one fresh array per
+    intermediate."""
+    state.t += 1
+    correction1 = 1.0 - state.beta1**state.t
+    correction2 = 1.0 - state.beta2**state.t
+    for i, (p, g) in enumerate(zip(params, grads)):
+        if g is None:
+            g = np.zeros(p.shape)
+        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
+        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
+        m_hat = state.m[i] / correction1
+        v_hat = state.v[i] / correction2
+        p.values = p.values - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
 class TestAdam:
+    def test_matches_allocating_formula_bitwise(self):
+        # Shapes that fill one block, split into row blocks with a partial
+        # last block, and hold a row wider than a block.
+        rng = np.random.default_rng(0)
+        shapes = [(1, 5), (300, 70), (3, 20_000)]
+        initial = [rng.standard_normal(shape) for shape in shapes]
+        # Tensor keeps a float64 array it is given, so each side gets a copy.
+        ours = [Tensor(v.copy(), requires_grad=True) for v in initial]
+        theirs = [Tensor(v.copy(), requires_grad=True) for v in initial]
+        ours_state = AdamState.for_params(ours)
+        theirs_state = AdamState.for_params(theirs)
+        for step in range(6):
+            grads = [rng.standard_normal(shape) * 10.0**-step for shape in shapes]
+            if step >= 3:
+                # A parameter whose gradient stops, with nonzero moments.
+                grads[1] = None
+            lr = 0.04 * 0.51 ** (step // 2)
+            before = [p.values for p in ours]
+            adam_step(ours, grads, ours_state, lr)
+            _allocating_adam_step(theirs, grads, theirs_state, lr)
+            assert all(p.values is b for p, b in zip(ours, before))
+            for i in range(len(shapes)):
+                assert np.array_equal(ours[i].values, theirs[i].values)
+                assert np.array_equal(ours_state.m[i], theirs_state.m[i])
+                assert np.array_equal(ours_state.v[i], theirs_state.v[i])
+        assert ours_state.t == theirs_state.t == 6
+
+    def test_mismatched_gradient_shape_raises(self):
+        p = Tensor([[1.0, 2.0]], requires_grad=True)
+        state = AdamState.for_params([p])
+        with pytest.raises(ValueError):
+            adam_step([p], [np.zeros((1, 1))], state, lr=0.1)
+
     def test_matches_scalar_reference(self):
         grads = [0.5, -1.25, 2.0, 0.1, -0.6, 3.0]
         p = Tensor([[0.0]], requires_grad=True)
@@ -128,6 +183,17 @@ def _small_task(seed: int = 0):
     return h, identity_features(h.n), labels, mask
 
 
+def _small_edge_task():
+    h, labels = planted_two_communities(n=24, m=12, seed=1, min_size=3, max_size=5)
+    edge_labels = np.array(
+        [int(labels[members[0]]) for members in h.edge_to_nodes], dtype=np.int64
+    )
+    mask = np.zeros(h.m, dtype=bool)
+    mask[np.flatnonzero(edge_labels == 0)[:3]] = True
+    mask[np.flatnonzero(edge_labels == 1)[:3]] = True
+    return h, identity_features(h.n), edge_labels, mask
+
+
 class TestNodeTrainingLoop:
     CONFIG = TrainConfig(epochs=12, hidden_dim=16, dropout=0.0, seed=0)
 
@@ -202,19 +268,101 @@ class TestNodeTrainingLoop:
             RunMetrics().final_test_acc
 
 
+def _two_forward_loop(h, features, labels, mask, config, on_edges):
+    """The loop the one-forward loop replaced: each epoch a taped training
+    forward at the current parameters, then, after the step, an eval
+    forward that scores the epoch."""
+    train_rows = np.flatnonzero(mask)
+    eval_rows = np.flatnonzero(~mask & (labels >= 0))
+    x = Tensor(features)
+    tables = normalization_tables(h, config.alpha, config.beta)
+    model = init_model(
+        x.shape[1],
+        config.hidden_dim,
+        int(labels.max()) + 1,
+        n_layers=config.n_layers,
+        dropout_rate=config.dropout,
+        alpha=config.alpha,
+        beta=config.beta,
+        seed=config.seed,
+    )
+    params = model.parameters()
+    state = AdamState.for_params(params)
+    dropout_streams = CounterRng(config.seed)
+    metrics = RunMetrics()
+    for epoch in range(config.epochs):
+        tape = Tape()
+        out = forward(
+            model, h, tables, x, training=True, rng=dropout_streams.spawn(epoch), tape=tape
+        )
+        scored = edge_logits(model, out.edge_state, tape) if on_edges else out.node_logits
+        loss = softmax_cross_entropy(scored, labels, train_rows, tape)
+        model.zero_grads()
+        tape.backward(loss)
+        _allocating_adam_step(params, [p.grad for p in params], state, lr_at(epoch, config))
+        eval_out = forward(model, h, tables, x, training=False)
+        eval_scored = (
+            edge_logits(model, eval_out.edge_state) if on_edges else eval_out.node_logits
+        )
+        predicted = predict(eval_scored)
+        metrics.losses.append(float(loss.values[0, 0]))
+        metrics.train_accs.append(float(np.mean(predicted[train_rows] == labels[train_rows])))
+        metrics.test_accs.append(float(np.mean(predicted[eval_rows] == labels[eval_rows])))
+    return model, metrics
+
+
+class TestOneForwardPerEpoch:
+    EPOCHS = 5
+
+    # (edge task, n_layers, dropout, forwards the fit makes): a forward that
+    # draws no dropout mask scores the step before it, so only the two-layer
+    # fit with dropout keeps a separate eval forward per epoch.
+    CASES = {
+        "one-layer node": (False, 1, 0.3, EPOCHS + 1),
+        "two-layer node, dropout 0": (False, 2, 0.0, EPOCHS + 1),
+        "two-layer node, dropout 0.3": (False, 2, 0.3, 2 * EPOCHS),
+        "one-layer edge": (True, 1, 0.3, EPOCHS + 1),
+    }
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_matches_two_forward_loop_bitwise(self, case, monkeypatch):
+        on_edges, n_layers, dropout, expected_forwards = case
+        h, features, labels, mask = _small_edge_task() if on_edges else _small_task()
+        # Width 130 splits each hidden-by-hidden weight into two Adam blocks.
+        config = TrainConfig(
+            epochs=self.EPOCHS,
+            hidden_dim=130,
+            n_layers=n_layers,
+            dropout=dropout,
+            alpha=0.25,
+            beta=-0.5,
+            seed=4,
+        )
+        reference, expected = _two_forward_loop(h, features, labels, mask, config, on_edges)
+
+        calls = []
+
+        def counted_forward(*args, **kwargs):
+            calls.append(kwargs.get("training", False))
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(training, "forward", counted_forward)
+        fit = train_edge_classifier if on_edges else train_node_classifier
+        model, metrics = fit(h, features, labels, mask, config)
+
+        assert len(calls) == expected_forwards
+        for ours, theirs in zip(model.parameters(), reference.parameters()):
+            assert np.array_equal(ours.values, theirs.values)
+        assert np.array_equal(metrics.losses, expected.losses)
+        assert np.array_equal(metrics.train_accs, expected.train_accs)
+        assert np.array_equal(metrics.test_accs, expected.test_accs)
+
+
 class TestEdgeTrainingLoop:
     def test_edge_loop_runs_and_improves(self):
-        h, labels = planted_two_communities(n=24, m=12, seed=1, min_size=3, max_size=5)
-        edge_labels = np.array(
-            [int(labels[members[0]]) for members in h.edge_to_nodes], dtype=np.int64
-        )
-        mask = np.zeros(h.m, dtype=bool)
-        mask[np.flatnonzero(edge_labels == 0)[:3]] = True
-        mask[np.flatnonzero(edge_labels == 1)[:3]] = True
+        h, features, edge_labels, mask = _small_edge_task()
         config = TrainConfig(epochs=25, hidden_dim=16, dropout=0.0, seed=2)
-        _, metrics = train_edge_classifier(
-            h, identity_features(h.n), edge_labels, mask, config
-        )
+        _, metrics = train_edge_classifier(h, features, edge_labels, mask, config)
         assert len(metrics.losses) == 25
         assert metrics.losses[-1] < metrics.losses[0]
         assert metrics.final_test_acc >= 0.5
