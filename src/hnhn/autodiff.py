@@ -39,12 +39,21 @@ from hnhn.rng import CounterRng
 
 
 class Tensor:
-    """Dense 2-D float64 array participating in a computation tape."""
+    """Dense 2-D float64 array participating in a computation tape.
+
+    A tensor that requires a gradient is a parameter, which adam_step
+    updates in place, so it takes a copy of the array it is given. Any other
+    tensor (a constant, or an op's output) keeps a C-contiguous float64
+    array as it is.
+    """
 
     __slots__ = ("values", "grad", "requires_grad")
 
     def __init__(self, values, requires_grad: bool = False):
-        arr = np.ascontiguousarray(values, dtype=np.float64)
+        if requires_grad:
+            arr = np.array(values, dtype=np.float64, order="C")
+        else:
+            arr = np.ascontiguousarray(values, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError(f"tensors are 2-D, got shape {arr.shape}")
         _ensure_finite(arr, "tensor values")
@@ -105,7 +114,8 @@ def _op(values, tape: Tape | None, *inputs: tuple[Tensor, Callable]) -> Tensor:
     does, and only then is a step recorded; the step accumulates grad_of of
     the output gradient into each input that requires one, in input order.
     """
-    out = Tensor(values, requires_grad=any(t.requires_grad for t, _ in inputs))
+    out = Tensor(values)
+    out.requires_grad = any(t.requires_grad for t, _ in inputs)
     if tape is not None and out.requires_grad:
         def backward() -> None:
             if out.grad is None:

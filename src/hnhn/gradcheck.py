@@ -6,7 +6,7 @@ import numpy as np
 
 from .autodiff import Tape, Tensor, add, softmax_cross_entropy
 from .hypergraph import Hypergraph, normalization_tables
-from .model import HnhnModel, edge_logits, forward, init_model
+from .model import HnhnModel, edge_logits, fold_input, forward, init_model
 from .rng import CounterRng
 from .synthetic import random_hypergraph
 
@@ -47,7 +47,7 @@ def _fixture(size: str):
 
 def _loss_value(model, h, tables, features, node_labels, edge_lab, node_rows, edge_rows,
                 tape: Tape | None = None) -> Tensor:
-    out = forward(model, h, tables, Tensor(features), training=False, tape=tape)
+    out = forward(model, h, tables, features, training=False, tape=tape)
     node_loss = softmax_cross_entropy(out.node_logits, node_labels, node_rows, tape)
     edge_loss = softmax_cross_entropy(
         edge_logits(model, out.edge_state, tape), edge_lab, edge_rows, tape
@@ -57,35 +57,38 @@ def _loss_value(model, h, tables, features, node_labels, edge_lab, node_rows, ed
 
 def gradcheck_model(size: str = "small", step: float = FD_STEP) -> float:
     """Max relative error between analytic and central-difference gradients
-    over every entry of every parameter. Deterministic fixture per size."""
+    over every entry of every parameter, with the loss taken through the raw
+    feature Tensor and through the folded input that training uses; the
+    worse of the two. Deterministic fixture per size."""
     h, tables, model, features, node_labels, edge_lab, node_rows, edge_rows = _fixture(size)
 
-    tape = Tape()
-    model.zero_grads()
-    loss = _loss_value(
-        model, h, tables, features, node_labels, edge_lab, node_rows, edge_rows, tape
-    )
-    tape.backward(loss)
-
-    def loss_at() -> float:
-        value = _loss_value(
-            model, h, tables, features, node_labels, edge_lab, node_rows, edge_rows
-        )
-        return float(value.values[0, 0])
-
     worst = 0.0
-    for param in model.parameters():
-        analytic = param.grad if param.grad is not None else np.zeros(param.shape)
-        flat = param.values.reshape(-1)
-        for idx in range(flat.size):
-            original = flat[idx]
-            flat[idx] = original + step
-            upper = loss_at()
-            flat[idx] = original - step
-            lower = loss_at()
-            flat[idx] = original
-            fd = (upper - lower) / (2.0 * step)
-            ad = analytic.reshape(-1)[idx]
-            rel = abs(fd - ad) / max(abs(fd), abs(ad), REL_FLOOR)
-            worst = max(worst, rel)
+    for node_input in (Tensor(features), fold_input(h, tables, features)):
+        tape = Tape()
+        model.zero_grads()
+        loss = _loss_value(
+            model, h, tables, node_input, node_labels, edge_lab, node_rows, edge_rows, tape
+        )
+        tape.backward(loss)
+
+        def loss_at() -> float:
+            value = _loss_value(
+                model, h, tables, node_input, node_labels, edge_lab, node_rows, edge_rows
+            )
+            return float(value.values[0, 0])
+
+        for param in model.parameters():
+            analytic = param.grad if param.grad is not None else np.zeros(param.shape)
+            flat = param.values.reshape(-1)
+            for idx in range(flat.size):
+                original = flat[idx]
+                flat[idx] = original + step
+                upper = loss_at()
+                flat[idx] = original - step
+                lower = loss_at()
+                flat[idx] = original
+                fd = (upper - lower) / (2.0 * step)
+                ad = analytic.reshape(-1)[idx]
+                rel = abs(fd - ad) / max(abs(fd), abs(ad), REL_FLOOR)
+                worst = max(worst, rel)
     return worst

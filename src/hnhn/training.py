@@ -11,6 +11,12 @@ draws no dropout mask (one layer, or dropout 0), a training forward and an
 eval forward at the same parameters compute the same values, so a
 dropout-free epoch runs one forward: the scoring forward is taped and
 carries the next epoch's loss, and E epochs make E+1 forwards.
+
+A fit folds its features past layer 0's edge aggregation once
+(model.fold_input) and hands the folded input to every forward it makes,
+scoring ones included, so no forward of a fit projects all n node rows or
+runs that first aggregation. Cross-validation builds the folded input once
+per (alpha, beta) cell and scores each held-out fold with it too.
 """
 
 from __future__ import annotations
@@ -21,8 +27,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tape, Tensor, softmax_cross_entropy
-from .hypergraph import Hypergraph, NormalizationTables, normalization_tables
-from .model import HnhnModel, _draws_dropout, edge_logits, forward, init_model, predict
+from .hypergraph import Hypergraph, normalization_tables
+from .model import (
+    FoldedInput,
+    HnhnModel,
+    _draws_dropout,
+    edge_logits,
+    fold_input,
+    forward,
+    init_model,
+    predict,
+)
 from .rng import CounterRng
 
 LR_DECAY_EPOCHS = 100
@@ -167,11 +182,11 @@ def _train_loop(
     config: TrainConfig,
     on_edges: bool,
     *,
-    tables: NormalizationTables | None = None,
+    folded: FoldedInput | None = None,
 ) -> tuple[HnhnModel, RunMetrics]:
-    """Train one model; a caller fitting many on the same graph passes the
-    feature Tensor and the tables for (config.alpha, config.beta) to build
-    them once."""
+    """Train one model on its folded features; a caller fitting many on the
+    same graph and (config.alpha, config.beta) passes the folded input,
+    built from these features, to build it once."""
     labels = np.asarray(labels, dtype=np.int64)
     mask = np.asarray(mask)
     _check_masked_labels(labels, mask, "edge" if on_edges else "node")
@@ -181,11 +196,10 @@ def _train_loop(
     if len(eval_rows) == 0:
         raise ValueError("no labeled rows left outside the training mask")
 
-    x = features if isinstance(features, Tensor) else Tensor(np.asarray(features, dtype=np.float64))
-    if tables is None:
-        tables = normalization_tables(h, config.alpha, config.beta)
+    if folded is None:
+        folded = fold_input(h, normalization_tables(h, config.alpha, config.beta), features)
     model = init_model(
-        x.shape[1],
+        folded.shape[1],
         config.hidden_dim,
         n_classes,
         n_layers=config.n_layers,
@@ -206,8 +220,8 @@ def _train_loop(
         out = forward(
             model,
             h,
-            tables,
-            x,
+            folded.tables,
+            folded,
             training=tape is not None,
             rng=dropout_streams.spawn(epoch),
             tape=tape,
@@ -342,14 +356,14 @@ def cross_validate_alpha_beta(
     for alpha, beta in grid:
         cell = CvCell(alpha=alpha, beta=beta, fold_accs=[])
         cell_config = config.with_overrides(alpha=alpha, beta=beta)
-        tables = normalization_tables(h, alpha, beta)
+        folded = fold_input(h, normalization_tables(h, alpha, beta), x)
         for k in range(folds):
             train_mask = np.zeros(len(labels), dtype=bool)
             train_mask[rows[fold_of != k]] = True
             model, _ = _train_loop(
-                h, x, labels, train_mask, cell_config, on_edges=False, tables=tables
+                h, x, labels, train_mask, cell_config, on_edges=False, folded=folded
             )
-            out = forward(model, h, tables, x)
+            out = forward(model, h, folded.tables, folded)
             held = rows[fold_of == k]
             cell.fold_accs.append(_accuracy(predict(out.node_logits), labels, held))
         cells.append(cell)

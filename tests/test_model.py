@@ -1,6 +1,8 @@
 """Model-level tests: hand-computed fixtures, equivariance, reference
-implementations, checkpoint round trips, and the Fano separation witness."""
+implementations, the folded input against the raw route, checkpoint round
+trips, and the Fano separation witness."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import hnhn
-from hnhn.autodiff import Tensor
+from hnhn.autodiff import Tape, Tensor, add, segment_mean_weighted, tensor_sum
 from hnhn.expansion import (
     fano_pair,
     graph_convolution_step,
@@ -25,6 +27,7 @@ from hnhn.model import (
     HnhnModel,
     distinguishability_test,
     edge_logits,
+    fold_input,
     forward,
     init_model,
     load_model,
@@ -33,6 +36,7 @@ from hnhn.model import (
 )
 from hnhn.rng import CounterRng
 from hnhn.synthetic import random_hypergraph
+from hnhn.training import TrainConfig, train_node_classifier
 
 
 def _set(param, values) -> None:
@@ -228,6 +232,114 @@ class TestReferenceAgreement:
         assert not np.array_equal(eval_out.node_logits.values, train_out.node_logits.values)
 
 
+def _fold_fixture():
+    """A graph with a degree-0 node (8) and an all-zero feature row (3).
+
+    At beta = -1100 every degree >= 2 underflows to scale 0, so each edge
+    without node 3 (the one node of degree 1) is left uncovered.
+    """
+    edges = [[0, 1, 2], [1, 2], [2, 3, 4], [4, 5, 6], [5, 6, 7], [0, 7]]
+    h = build_hypergraph(edges, n=9)
+    rng = np.random.default_rng(5)
+    features = rng.normal(size=(h.n, 6)) * (rng.random((h.n, 6)) < 0.5)
+    features[3] = 0.0
+    return h, features
+
+
+def _outputs_and_grads(model, h, tables, node_input):
+    """Node logits, edge states and every parameter gradient of one forward."""
+    model.zero_grads()
+    tape = Tape()
+    out = forward(model, h, tables, node_input, tape=tape)
+    loss = add(
+        tensor_sum(out.node_logits, tape),
+        tensor_sum(edge_logits(model, out.edge_state, tape), tape),
+        tape,
+    )
+    tape.backward(loss)
+    grads = [np.zeros(p.shape) if p.grad is None else p.grad.copy() for p in model.parameters()]
+    return out.node_logits.values, out.edge_state.values, grads
+
+
+class TestFoldedInput:
+    # The folded route sums over the incidences in another order.
+    TOL = 1e-12
+    EXPONENTS = [(0.0, 0.0), (0.5, -0.5), (-1.0, 1.0), (0.25, -1100.0)]
+
+    def test_values_are_the_aggregated_features(self):
+        h, features = _fold_fixture()
+        for alpha, beta in self.EXPONENTS:
+            tables = normalization_tables(h, alpha, beta)
+            folded = fold_input(h, tables, features)
+            gathered = segment_mean_weighted(
+                Tensor(features),
+                h.segment_indices[0],
+                tables.node_scale_beta,
+                tables.edge_divisor_beta,
+            )
+            assert np.array_equal(folded.values.values, gathered.values)
+            assert not folded.values.requires_grad
+
+    def test_extreme_beta_leaves_edges_uncovered(self):
+        h, features = _fold_fixture()
+        covered = fold_input(h, normalization_tables(h, 0.0, 0.5), features).coverage
+        assert np.array_equal(covered, np.ones(6))
+        coverage = fold_input(h, normalization_tables(h, 0.0, -1100.0), features).coverage
+        assert np.array_equal(coverage, [0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_matches_raw_route(self, n_layers):
+        h, features = _fold_fixture()
+        for alpha, beta in self.EXPONENTS:
+            tables = normalization_tables(h, alpha, beta)
+            model = init_model(
+                6, 5, n_classes=3, n_layers=n_layers, alpha=alpha, beta=beta, seed=3
+            )
+            raw = _outputs_and_grads(model, h, tables, Tensor(features))
+            folded = _outputs_and_grads(model, h, tables, fold_input(h, tables, features))
+            for ours, theirs in zip(raw[:2] + tuple(raw[2]), folded[:2] + tuple(folded[2])):
+                assert np.allclose(ours, theirs, rtol=0.0, atol=self.TOL)
+            # Every parameter is reached, except the input weight at the
+            # extreme beta, where the one covered edge sees only node 3's
+            # zero row.
+            reached = [bool(np.any(g != 0.0)) for g in folded[2]]
+            assert reached == [beta > -1000.0] + [True] * (len(reached) - 1)
+
+    def test_overflowing_scales_raise_as_on_the_raw_route(self):
+        h, features = _fold_fixture()
+        with np.errstate(over="ignore"):
+            tables = normalization_tables(h, 0.0, 1100.0)
+        with pytest.raises(FloatingPointError):
+            forward(init_model(6, 5, n_classes=3, seed=0), h, tables, Tensor(features))
+        with pytest.raises(FloatingPointError):
+            fold_input(h, tables, features)
+
+    def test_rejects_other_tables(self):
+        h, features = _fold_fixture()
+        model = init_model(6, 5, n_classes=3, seed=0)
+        folded = fold_input(h, normalization_tables(h, 0.0, 0.0), features)
+        with pytest.raises(ValueError, match="other normalization tables"):
+            forward(model, h, normalization_tables(h, 0.0, 0.0), folded)
+
+    def test_rejects_tables_whose_divisors_are_not_scale_sums(self):
+        h, features = _fold_fixture()
+        tables = normalization_tables(h, 0.0, 0.0)
+        doubled = dataclasses.replace(tables, edge_divisor_beta=2.0 * tables.edge_divisor_beta)
+        with pytest.raises(ValueError, match="sums of the scales"):
+            fold_input(h, doubled, features)
+
+    def test_fit_caches_no_bins_of_feature_width(self):
+        h, labels = random_hypergraph(40, 16, seed=2, min_size=2, max_size=5), np.arange(40) % 2
+        features = np.random.default_rng(0).random((h.n, 50))
+        mask = np.arange(40) < 20
+        config = TrainConfig(epochs=3, hidden_dim=8, n_layers=2, seed=0)
+        train_node_classifier(h, features, labels, mask, config)
+        indices = list(h.segment_indices)
+        indices += [t for index in indices for t in index._transposes.values()]
+        assert 8 in indices[0]._bins
+        assert all(50 not in index._bins for index in indices)
+
+
 class TestEquivariance:
     def test_node_and_edge_permutations_permute_outputs(self):
         h = random_hypergraph(10, 6, seed=17, max_size=4)
@@ -386,6 +498,7 @@ from hnhn.hypergraph import normalization_tables
 from hnhn.model import forward, init_model
 from hnhn.rng import CounterRng
 from hnhn.synthetic import random_hypergraph
+from hnhn.training import TrainConfig, train_node_classifier
 h = random_hypergraph(20, 12, seed=1, min_size=2)
 model = init_model(5, 4, 2, seed=1)
 tables = normalization_tables(h, 0.5, 0.0)
@@ -394,6 +507,8 @@ out = forward(model, h, tables, Tensor(np.ones((20, 5))), training=True, rng=Cou
 loss = softmax_cross_entropy(out.node_logits, np.arange(20) % 2, np.arange(10), tape)
 tape.backward(loss)
 assert model.input_weight.grad is not None
+config = TrainConfig(epochs=2, hidden_dim=4)
+train_node_classifier(h, np.ones((20, 5)), np.arange(20) % 2, np.arange(20) < 10, config)
 assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
 """
     src = os.path.dirname(os.path.dirname(os.path.abspath(hnhn.__file__)))

@@ -1,7 +1,7 @@
 """Training tests: Adam against a textbook scalar reference and the
 allocating whole-array formula, the learning rate schedule, loop determinism,
-the one-forward loop against the two-forward loop it replaced, and (alpha,
-beta) cross-validation."""
+the one-forward loop against the two-forward loop it replaced, folded-input
+fits against raw-route fits, and (alpha, beta) cross-validation."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ import pytest
 from hnhn import training
 from hnhn.autodiff import Tape, Tensor, softmax_cross_entropy
 from hnhn.hypergraph import normalization_tables
-from hnhn.model import edge_logits, forward, init_model, predict
+from hnhn.model import edge_logits, fold_input, forward, init_model, predict
 from hnhn.rng import CounterRng
 from hnhn.synthetic import identity_features, planted_two_communities, random_hypergraph
 from hnhn.training import (
@@ -66,9 +66,8 @@ class TestAdam:
         rng = np.random.default_rng(0)
         shapes = [(1, 5), (300, 70), (3, 20_000)]
         initial = [rng.standard_normal(shape) for shape in shapes]
-        # Tensor keeps a float64 array it is given, so each side gets a copy.
-        ours = [Tensor(v.copy(), requires_grad=True) for v in initial]
-        theirs = [Tensor(v.copy(), requires_grad=True) for v in initial]
+        ours = [Tensor(v, requires_grad=True) for v in initial]
+        theirs = [Tensor(v, requires_grad=True) for v in initial]
         ours_state = AdamState.for_params(ours)
         theirs_state = AdamState.for_params(theirs)
         for step in range(6):
@@ -86,6 +85,18 @@ class TestAdam:
                 assert np.array_equal(ours_state.m[i], theirs_state.m[i])
                 assert np.array_equal(ours_state.v[i], theirs_state.v[i])
         assert ours_state.t == theirs_state.t == 6
+
+    def test_step_leaves_the_source_array_and_its_other_tensors(self):
+        # A parameter copies the array it is built from, so stepping one in
+        # place moves neither that array nor a second parameter built from it.
+        source = np.array([[1.0, -2.0], [0.5, 3.0]])
+        kept = source.copy()
+        stepped = Tensor(source, requires_grad=True)
+        other = Tensor(source, requires_grad=True)
+        adam_step([stepped], [np.ones((2, 2))], AdamState.for_params([stepped]), 0.1)
+        assert not np.array_equal(stepped.values, kept)
+        assert np.array_equal(source, kept)
+        assert np.array_equal(other.values, kept)
 
     def test_mismatched_gradient_shape_raises(self):
         p = Tensor([[1.0, 2.0]], requires_grad=True)
@@ -268,16 +279,17 @@ class TestNodeTrainingLoop:
             RunMetrics().final_test_acc
 
 
-def _two_forward_loop(h, features, labels, mask, config, on_edges):
+def _two_forward_loop(h, features, labels, mask, config, on_edges, *, fold=True):
     """The loop the one-forward loop replaced: each epoch a taped training
     forward at the current parameters, then, after the step, an eval
-    forward that scores the epoch."""
+    forward that scores the epoch. Every forward takes the folded input a
+    fit builds, or with fold=False the raw feature Tensor."""
     train_rows = np.flatnonzero(mask)
     eval_rows = np.flatnonzero(~mask & (labels >= 0))
-    x = Tensor(features)
     tables = normalization_tables(h, config.alpha, config.beta)
+    x = fold_input(h, tables, features) if fold else Tensor(features)
     model = init_model(
-        x.shape[1],
+        features.shape[1],
         config.hidden_dim,
         int(labels.max()) + 1,
         n_layers=config.n_layers,
@@ -356,6 +368,45 @@ class TestOneForwardPerEpoch:
         assert np.array_equal(metrics.losses, expected.losses)
         assert np.array_equal(metrics.train_accs, expected.train_accs)
         assert np.array_equal(metrics.test_accs, expected.test_accs)
+
+
+class TestFoldedInputFit:
+    EPOCHS = 8
+    # Sums over the incidences in another order: parameters agree to this
+    # absolute tolerance, and every per-epoch accuracy is equal.
+    TOL = 1e-12
+
+    # (edge task, n_layers, dropout)
+    CASES = {
+        "one-layer node": (False, 1, 0.0),
+        "two-layer node, dropout 0.3": (False, 2, 0.3),
+        "one-layer edge": (True, 1, 0.0),
+    }
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_matches_raw_route_fit(self, case):
+        on_edges, n_layers, dropout = case
+        h, features, labels, mask = _small_edge_task() if on_edges else _small_task()
+        config = TrainConfig(
+            epochs=self.EPOCHS,
+            hidden_dim=24,
+            n_layers=n_layers,
+            dropout=dropout,
+            alpha=0.25,
+            beta=-0.5,
+            seed=2,
+        )
+        reference, expected = _two_forward_loop(
+            h, features, labels, mask, config, on_edges, fold=False
+        )
+        fit = train_edge_classifier if on_edges else train_node_classifier
+        model, metrics = fit(h, features, labels, mask, config)
+
+        for ours, theirs in zip(model.parameters(), reference.parameters()):
+            assert np.allclose(ours.values, theirs.values, rtol=0.0, atol=self.TOL)
+        assert np.allclose(metrics.losses, expected.losses, rtol=0.0, atol=self.TOL)
+        assert metrics.train_accs == expected.train_accs
+        assert metrics.test_accs == expected.test_accs
 
 
 class TestEdgeTrainingLoop:
