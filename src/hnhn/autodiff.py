@@ -346,7 +346,7 @@ def write_tensor(fh: BinaryIO, values: np.ndarray) -> None:
     if arr.ndim != 2:
         raise ValueError("only 2-D arrays are serialized")
     fh.write(_HEADER.pack(arr.shape[0], arr.shape[1]))
-    fh.write(arr.astype("<f8").tobytes())
+    fh.write(arr.astype("<f8", copy=False).data)
 
 
 def read_tensor(fh: BinaryIO) -> np.ndarray:
@@ -354,7 +354,7 @@ def read_tensor(fh: BinaryIO) -> np.ndarray:
     if len(header) != _HEADER.size:
         raise ValueError("truncated tensor header")
     rows, cols = _HEADER.unpack(header)
-    payload = fh.read(rows * cols * 8)
-    if len(payload) != rows * cols * 8:
+    arr = np.empty((rows, cols), dtype="<f8")
+    if fh.readinto(arr.data) != arr.nbytes:
         raise ValueError("truncated tensor payload")
-    return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).astype(np.float64)
+    return arr.astype(np.float64, copy=False)

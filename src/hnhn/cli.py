@@ -127,6 +127,13 @@ def _cmd_ingest(args) -> int:
         f"feature_dim={stats['feature_dim']} classes={stats['classes']} "
         f"labeled_nodes={stats['labeled_nodes']} labeled_edges={stats['labeled_edges']}"
     )
+    print(
+        " ".join(
+            f"{phase}={stats[phase]:.3f}"
+            for phase in ("load_s", "hypergraph_s", "features_s", "write_s")
+        ),
+        file=sys.stderr,
+    )
     return 0
 
 

@@ -20,8 +20,10 @@ from __future__ import annotations
 import csv
 import math
 import re
-from collections import Counter
+import time
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +38,7 @@ from .hypergraph import (
 )
 from .rng import CounterRng
 
-_TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
+_TOKEN = re.compile(r"[a-z0-9]+")
 
 
 @dataclass
@@ -145,52 +147,74 @@ def build_coauthorship_hypergraph(corpus: Corpus) -> BuiltHypergraph:
 
 def tokenize(text: str, ngrams: tuple[int, ...] = (1, 2)) -> list[str]:
     """Lowercase tokens split on non-alphanumeric runs; n-grams join tokens
-    with a single space."""
-    words = [w for w in _TOKEN_SPLIT.split(text.lower()) if w]
+    with a single space. Raises ValueError for an n-gram length below 1."""
+    if min(ngrams, default=1) < 1:
+        raise ValueError(f"n-gram lengths must be at least 1, got {ngrams}")
+    words = _TOKEN.findall(text.lower())
     out = []
     for n in ngrams:
-        out.extend(" ".join(words[i : i + n]) for i in range(len(words) - n + 1))
+        out.extend(map(" ".join, zip(*(words[i:] for i in range(n)))))
     return out
-
-
-def _build_vocabulary(
-    term_counts: list[Counter], vocab_size: int, max_doc_freq: float
-) -> dict[str, int]:
-    n_docs = len(term_counts)
-    doc_freq = Counter()
-    corpus_freq = Counter()
-    for counts in term_counts:
-        doc_freq.update(counts.keys())
-        corpus_freq.update(counts)
-    kept = [t for t, df in doc_freq.items() if df <= max_doc_freq * n_docs]
-    if not kept:
-        raise ValueError("vocabulary is empty after document-frequency filtering")
-    kept.sort(key=lambda t: (-corpus_freq[t], t))
-    return {t: i for i, t in enumerate(kept[:vocab_size])}
 
 
 def _term_count_matrix(
     documents: list[str], vocab_size: int, max_doc_freq: float, ngrams: tuple[int, ...]
 ) -> tuple[np.ndarray, dict[str, int], np.ndarray]:
+    """Term counts of each document over the chosen vocabulary, the
+    vocabulary (term -> column) and each column's document frequency.
+
+    Every distinct token gets an integer id in order of first appearance;
+    the (document, id) pairs and their counts come from one np.unique over
+    doc * n_terms + id, document and corpus frequencies from bincounts.
+    Terms in more than max_doc_freq of the documents are dropped; the rest
+    rank by corpus count, ties broken lexicographically, and only the terms
+    that reach the vocab_size-th largest count are sorted in Python.
+    """
     if not documents:
         raise ValueError("no documents to featurize")
-    term_counts = [Counter(tokenize(text, ngrams)) for text in documents]
-    vocabulary = _build_vocabulary(term_counts, vocab_size, max_doc_freq)
-    counts = np.zeros((len(documents), len(vocabulary)), dtype=np.float64)
-    doc_freq = np.zeros(len(vocabulary), dtype=np.float64)
-    for row, doc_counts in enumerate(term_counts):
-        for term, count in doc_counts.items():
-            col = vocabulary.get(term)
-            if col is not None:
-                counts[row, col] = count
-                doc_freq[col] += 1
-    return counts, vocabulary, doc_freq
+    # A token seen for the first time gets the next id.
+    ids: defaultdict[str, int] = defaultdict(count().__next__)
+    token_ids: list[int] = []
+    lengths = np.empty(len(documents), dtype=np.int64)
+    for row, text in enumerate(documents):
+        tokens = tokenize(text, ngrams)
+        lengths[row] = len(tokens)
+        token_ids.extend(map(ids.__getitem__, tokens))
+    n_terms = len(ids)
+    token_terms = np.array(token_ids, dtype=np.int64)
+    token_rows = np.repeat(np.arange(len(documents), dtype=np.int64), lengths)
+    pairs, tf = np.unique(token_rows * n_terms + token_terms, return_counts=True)
+    pair_rows, pair_terms = np.divmod(pairs, n_terms)
+    doc_freq = np.bincount(pair_terms, minlength=n_terms)
+    corpus_freq = np.bincount(token_terms, minlength=n_terms)
+
+    kept = np.flatnonzero(doc_freq <= max_doc_freq * len(documents))
+    if len(kept) == 0:
+        raise ValueError("vocabulary is empty after document-frequency filtering")
+    if 0 < vocab_size < len(kept):
+        cut = len(kept) - vocab_size
+        floor = np.partition(corpus_freq[kept], cut)[cut]
+        kept = kept[corpus_freq[kept] >= floor]
+    terms = list(ids)
+    ranked = sorted(kept.tolist(), key=lambda t: (-corpus_freq[t], terms[t]))
+    chosen = np.array(ranked[:vocab_size], dtype=np.int64)
+
+    column_of = np.full(n_terms, -1, dtype=np.int64)
+    column_of[chosen] = np.arange(len(chosen))
+    columns = column_of[pair_terms]
+    hit = columns >= 0
+    counts = np.zeros((len(documents), len(chosen)), dtype=np.float64)
+    counts[pair_rows[hit], columns[hit]] = tf[hit]
+    vocabulary = {terms[t]: i for i, t in enumerate(chosen.tolist())}
+    return counts, vocabulary, doc_freq[chosen].astype(np.float64)
 
 
 def _l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:
+    """Divide each row by its L2 norm in place; a zero row stays zero."""
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
-    return matrix / norms
+    matrix /= norms
+    return matrix
 
 
 def tfidf_features(
@@ -205,13 +229,15 @@ def tfidf_features(
     vocabulary is truncated to the vocab_size most frequent terms (raw
     corpus counts, ties broken lexicographically). A document none of whose
     terms made the vocabulary has nothing to normalize and keeps an
-    all-zero row.
+    all-zero row. The idf scaling and the normalization run in place on the
+    count matrix. Raises ValueError for no documents, an n-gram length
+    below 1, or a vocabulary left empty.
     """
     counts, vocabulary, doc_freq = _term_count_matrix(
         documents, vocab_size, max_doc_freq, ngrams
     )
-    idf = np.log(len(documents) / (1.0 + doc_freq))
-    return FeatureMatrix(matrix=_l2_normalize_rows(counts * idf), vocabulary=vocabulary)
+    counts *= np.log(len(documents) / (1.0 + doc_freq))
+    return FeatureMatrix(matrix=_l2_normalize_rows(counts), vocabulary=vocabulary)
 
 
 def bow_features(
@@ -318,21 +344,27 @@ def run_ingest(
     """Full ingestion: corpus -> pruned hypergraph + features + labels on disk.
 
     Features are computed over the documents that survive pruning, so rows
-    align with hypernode ids. Returns a stats dict for reporting.
+    align with hypernode ids. Returns a stats dict for reporting, with the
+    wall seconds of the load, hypergraph, features and write phases
+    (load_s, hypergraph_s, features_s, write_s).
     """
     if mode not in ("cocite", "coauthor"):
         raise ValueError(f"mode must be cocite or coauthor, got {mode!r}")
     if feature_kind not in ("tfidf", "bow"):
         raise ValueError(f"features must be tfidf or bow, got {feature_kind!r}")
+    started = time.perf_counter()
     corpus = load_corpus(docs_path, relations_path, labels_path)
+    loaded = time.perf_counter()
     build = build_cocitation_hypergraph if mode == "cocite" else build_coauthorship_hypergraph
     built = build(corpus)
+    hypergraph_done = time.perf_counter()
     featurize = tfidf_features if feature_kind == "tfidf" else bow_features
     feats = featurize(
         [corpus.documents[d] for d in built.node_docs],
         vocab_size=vocab_size,
         max_doc_freq=max_doc_freq,
     )
+    featurized = time.perf_counter()
     node_labels = np.array(
         [corpus.labels.get(d, -1) for d in built.node_docs], dtype=np.int64
     )
@@ -352,6 +384,7 @@ def run_ingest(
     (out / "classes.txt").write_text(
         "\n".join(corpus.class_names) + "\n", encoding="utf-8"
     )
+    written = time.perf_counter()
 
     stats = degree_stats(built.h)
     return {
@@ -363,4 +396,8 @@ def run_ingest(
         "classes": len(corpus.class_names),
         "labeled_nodes": int(np.sum(node_labels >= 0)),
         "labeled_edges": int(np.sum(edge_labels >= 0)),
+        "load_s": loaded - started,
+        "hypergraph_s": hypergraph_done - loaded,
+        "features_s": featurized - hypergraph_done,
+        "write_s": written - featurized,
     }

@@ -2,6 +2,7 @@
 and, for the segment aggregation, against the dense operator it replaces."""
 
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -503,6 +504,29 @@ class TestTensorIo:
         clipped = io.BytesIO(buf.getvalue()[:-8])
         with pytest.raises(ValueError):
             read_tensor(clipped)
+
+    def test_layout_is_header_then_little_endian_rows(self):
+        arr = np.arange(6.0).reshape(2, 3)
+        expected = struct.pack("<QQ", 2, 3) + arr.astype("<f8").tobytes()
+        for values in (arr, np.asfortranarray(arr), arr.astype(np.float32)):
+            buf = io.BytesIO()
+            write_tensor(buf, values)
+            assert buf.getvalue() == expected
+
+    def test_empty_shapes_round_trip(self):
+        for shape in ((0, 3), (3, 0), (0, 0)):
+            buf = io.BytesIO()
+            write_tensor(buf, np.zeros(shape))
+            buf.seek(0)
+            assert read_tensor(buf).shape == shape
+
+    def test_read_array_is_writable_and_owned(self):
+        buf = io.BytesIO()
+        write_tensor(buf, np.ones((2, 2)))
+        buf.seek(0)
+        back = read_tensor(buf)
+        back[0, 0] = 5.0
+        assert back.dtype == np.float64 and back.flags.owndata
 
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):

@@ -84,8 +84,11 @@ class TestIngest:
             ]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert "n=7 m=7 avg_deg=3.00" in out
+        captured = capsys.readouterr()
+        assert "n=7 m=7 avg_deg=3.00" in captured.out
+        phases = dict(field.split("=") for field in captured.err.split())
+        assert list(phases) == ["load_s", "hypergraph_s", "features_s", "write_s"]
+        assert all(float(seconds) >= 0.0 for seconds in phases.values())
         for name in ("hypergraph.txt", "features.bin", "labels.csv",
                      "edge_labels.csv", "vocab.txt", "classes.txt"):
             assert (tmp_path / "out" / name).is_file()

@@ -1,13 +1,17 @@
 """Ingestion tests: TSV parsing, hypergraph building with pruning,
-featurization against hand-computed tf-idf values, and label splitting."""
+featurization against hand-computed tf-idf values and against a
+Counter-per-document reference, and label splitting."""
 
 import math
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from hnhn.autodiff import read_tensor
 from hnhn.data import (
+    _term_count_matrix,
     bow_features,
     build_coauthorship_hypergraph,
     build_cocitation_hypergraph,
@@ -146,6 +150,131 @@ class TestTokenize:
         assert tokenize("word") == ["word"]
         assert tokenize("") == []
 
+    @pytest.mark.parametrize("ngrams", [(0,), (1, 0), (-1,), (2, -3)])
+    def test_ngram_lengths_below_one_raise(self, ngrams):
+        docs = ["alpha beta", "gamma delta", "epsilon"]
+        with pytest.raises(ValueError):
+            tokenize("alpha beta", ngrams)
+        with pytest.raises(ValueError):
+            tfidf_features(docs, max_doc_freq=0.9, ngrams=ngrams)
+        with pytest.raises(ValueError):
+            bow_features(docs, max_doc_freq=0.9, ngrams=ngrams)
+
+
+_REFERENCE_SPLIT = re.compile(r"[^a-z0-9]+")
+
+
+def _reference_tokenize(text, ngrams):
+    words = [w for w in _REFERENCE_SPLIT.split(text.lower()) if w]
+    out = []
+    for n in ngrams:
+        out.extend(" ".join(words[i : i + n]) for i in range(len(words) - n + 1))
+    return out
+
+
+def _reference_term_count_matrix(documents, vocab_size, max_doc_freq, ngrams):
+    """One Counter per document, terms ranked by a sort over all of them."""
+    term_counts = [Counter(_reference_tokenize(text, ngrams)) for text in documents]
+    doc_freq, corpus_freq = Counter(), Counter()
+    for counts in term_counts:
+        doc_freq.update(counts.keys())
+        corpus_freq.update(counts)
+    kept = [t for t, df in doc_freq.items() if df <= max_doc_freq * len(documents)]
+    kept.sort(key=lambda t: (-corpus_freq[t], t))
+    vocabulary = {t: i for i, t in enumerate(kept[:vocab_size])}
+    matrix = np.zeros((len(documents), len(vocabulary)), dtype=np.float64)
+    column_doc_freq = np.zeros(len(vocabulary), dtype=np.float64)
+    for row, counts in enumerate(term_counts):
+        for term, count in counts.items():
+            col = vocabulary.get(term)
+            if col is not None:
+                matrix[row, col] = count
+                column_doc_freq[col] += 1
+    return matrix, vocabulary, column_doc_freq
+
+
+# Several words fold to ASCII tokens ("Kelvin" starts with U+212A, which
+# lowercases to "k"), others split or vanish; "edge" is planted in exactly
+# a quarter of the documents.
+_WORDS = ["aa", "bb", "cc", "dd", "ee", "ff", "gg", "x1", "2024", "AA", "Bb",
+          "café", "naïve", "straße", "İstanbul", "東京", "ΣΊΣΥΦΟΣ", "\u212aelvin"]
+_NOISE = ["", "   ", "!!! ,,, ...", "—", "\t\t", "¿?"]
+
+
+def _random_corpus(seed, n_docs=20):
+    rng = np.random.default_rng(seed)
+    docs = []
+    for i in range(n_docs):
+        if i % 7 == 3:
+            docs.append(_NOISE[int(rng.integers(len(_NOISE)))])
+            continue
+        length = int(rng.integers(1, 30))
+        weights = 1.0 / np.arange(1, len(_WORDS) + 1)
+        picks = rng.choice(len(_WORDS), length, p=weights / weights.sum())
+        seps = rng.choice([" ", ", ", "-", ". ", "  "], length)
+        words = [_WORDS[k] + str(sep) for k, sep in zip(picks, seps)]
+        if i % 4 == 0:
+            words.append(" edge")
+        docs.append("".join(words))
+    return docs
+
+
+class TestCountsMatchCounterReference:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("ngrams", [(1,), (2,), (1, 2), (1, 2, 3)])
+    @pytest.mark.parametrize("vocab_size", [1, 3, 8, 1000])
+    def test_matrix_vocabulary_and_doc_freq_are_identical(self, seed, ngrams, vocab_size):
+        docs = _random_corpus(seed)
+        expected = _reference_term_count_matrix(docs, vocab_size, 0.25, ngrams)
+        counts, vocabulary, doc_freq = _term_count_matrix(docs, vocab_size, 0.25, ngrams)
+        assert counts.shape == expected[0].shape
+        assert counts.tobytes() == expected[0].tobytes()
+        assert list(vocabulary.items()) == list(expected[1].items())
+        assert np.array_equal(doc_freq, expected[2])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_featurizers_match_the_reference_formulas(self, seed):
+        docs = _random_corpus(seed)
+        counts, vocabulary, doc_freq = _reference_term_count_matrix(docs, 8, 0.25, (1, 2))
+        for matrix, featurize in (
+            (counts * np.log(len(docs) / (1.0 + doc_freq)), tfidf_features),
+            (counts, bow_features),
+        ):
+            norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+            norms[norms == 0.0] = 1.0
+            feats = featurize(docs, vocab_size=8, max_doc_freq=0.25)
+            assert feats.matrix.tobytes() == (matrix / norms).tobytes()
+            assert list(feats.vocabulary.items()) == list(vocabulary.items())
+
+    def test_corpora_cover_the_edge_cases(self):
+        docs = [d for seed in range(6) for d in _random_corpus(seed)]
+        assert "" in docs and any(d and not _reference_tokenize(d, (1,)) for d in docs)
+        # "edge" sits exactly at the max_doc_freq cut of each corpus and stays.
+        for seed in range(6):
+            corpus = _random_corpus(seed)
+            df = sum("edge" in _reference_tokenize(d, (1,)) for d in corpus)
+            assert df == 0.25 * len(corpus)
+            _, vocabulary, _ = _term_count_matrix(corpus, 1000, 0.25, (1,))
+            assert "edge" in vocabulary
+        # Ties at a cut: some corpus ranks two kept terms with equal counts
+        # across the boundary of a small vocabulary.
+        tied = False
+        for seed in range(6):
+            corpus = _random_corpus(seed)
+            _, full, _ = _reference_term_count_matrix(corpus, 1000, 0.25, (1, 2))
+            totals = Counter(t for d in corpus for t in _reference_tokenize(d, (1, 2)))
+            ranked = list(full)
+            tied |= any(totals[ranked[k - 1]] == totals[ranked[k]] for k in (1, 3, 8)
+                        if k < len(ranked))
+        assert tied
+
+    def test_tokenize_matches_the_reference(self):
+        texts = [d for seed in range(6) for d in _random_corpus(seed)]
+        texts += ["The cat sat.", "a", "", "x-y_z 1.5", "ÀÉÎ õü ß 東京 \u212a"]
+        for text in texts:
+            for ngrams in [(1,), (2,), (1, 2), (1, 2, 3), (3, 1), (2, 2)]:
+                assert tokenize(text, ngrams) == _reference_tokenize(text, ngrams)
+
 
 class TestTfidfFeatures:
     def test_idf_uses_smoothed_formula(self):
@@ -205,6 +334,8 @@ class TestTfidfFeatures:
     def test_empty_vocabulary_raises(self):
         with pytest.raises(ValueError):
             tfidf_features(["every term everywhere"], max_doc_freq=0.2)
+        with pytest.raises(ValueError):
+            tfidf_features(["", "!!! ..."], max_doc_freq=0.9)
         with pytest.raises(ValueError):
             tfidf_features([])
 
@@ -354,6 +485,8 @@ class TestRunIngest:
         assert abs(stats["avg_deg"] - 1.0) < 1e-12
         assert abs(stats["avg_edge_size"] - 2.0) < 1e-12
         assert stats["classes"] == 2
+        for phase in ("load_s", "hypergraph_s", "features_s", "write_s"):
+            assert stats[phase] >= 0.0
 
     def test_mode_and_feature_validation(self, tmp_path):
         docs_path, rel_path, label_path = self._corpus_files(tmp_path)
