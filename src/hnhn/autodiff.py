@@ -12,19 +12,36 @@ record a backward step, and a step forms and accumulates the gradient of an
 input only if that input requires one. So a constant operand, such as the
 feature matrix fed to the first matmul, gets no product and no grad buffer.
 An op hands _op one grad_of function per input and computes anything only
-the backward pass needs, such as the ReLU mask, inside it.
+the backward pass needs, such as the ReLU mask, inside it. The first
+gradient an input receives becomes its grad array as it is: grad_of
+returns a fresh array, and only an identity pass-through (add, add_bias),
+which hands back the output's own gradient, is copied.
+
+A dense layer is one op: matmul takes an optional bias and ReLU as an
+epilogue that runs in place on the product. The affine result is checked
+for finiteness once, before the ReLU clips it, so an overflow to -inf still
+raises; the backward step forms the masked gradient g * (out > 0) once and
+derives the bias, weight and input gradients from it. Values and gradients
+are bit for bit those of the separate matmul, add_bias and relu ops, which
+remain for tests and tools.
 
 The one non-generic primitive is segment_mean_weighted, a gather/scatter
 aggregation over per-target source-id lists. It computes the weighted-mean
 message passing step directly from incidence indices, so the caller never
 builds the dense source-by-target matrix the operation is equivalent to.
-The scatter is one np.bincount over flat (target, column) bin ids, which a
-SegmentIndex builds once per row width and keeps. bincount adds its
-weights in input order, so each output entry is summed in the order of the
-index's pairs; the backward pass scatters through the transposed index,
-the same pairs stably sorted by source, so each gradient entry is summed in
-that order too. Both match a sequential np.add.at over the same pairs bit
-for bit.
+The pairs are ordered by target, and the scatter runs over blocks of whole
+targets of about GATHER_BLOCK elements, each one np.take of its source rows
+and one np.bincount over flat (target, column) bin ids, which a
+SegmentIndex plans once per row width and keeps. A block's rows stay in
+cache, where a gather of all pairs at once would page in a fresh
+pair-sized array on every call. bincount adds its weights in
+input order, so each output entry is summed in the order of the index's
+pairs; the backward pass scatters through the transposed index, the same
+pairs stably sorted by source, so each gradient entry is summed in that
+order too. Both match a sequential np.add.at over the same pairs bit for
+bit. The division by the divisors and the backward scaling by the weights
+run in place, and unit weights (a zero exponent, the paper's default) skip
+the scaling passes altogether, since x * 1.0 == x bit for bit.
 """
 
 from __future__ import annotations
@@ -99,43 +116,81 @@ def _ensure_finite(arr: np.ndarray, what: str) -> None:
 
 
 def _accumulate(t: Tensor, delta: np.ndarray) -> None:
+    """Add delta into t.grad; a first delta becomes t.grad itself, uncopied."""
     _ensure_finite(delta, "gradients")
     if t.grad is None:
-        t.grad = delta.copy()
+        t.grad = delta
     else:
         t.grad += delta
 
 
-def _op(values, tape: Tape | None, *inputs: tuple[Tensor, Callable]) -> Tensor:
+def _op(
+    values: np.ndarray | Tensor,
+    tape: Tape | None,
+    *inputs: tuple[Tensor, Callable],
+    prepare: Callable | None = None,
+) -> Tensor:
     """An op's output, recording its backward step on tape when it needs one.
 
-    Each input is a pair (tensor, grad_of), where grad_of maps the output's
-    gradient to that input's. The output requires a gradient when any input
-    does, and only then is a step recorded; the step accumulates grad_of of
-    the output gradient into each input that requires one, in input order.
+    values is the output array, or an output Tensor the op has already
+    built and checked. Each input is a pair (tensor, grad_of), where grad_of
+    maps the output's gradient to that input's. The output requires a
+    gradient when any input does, and only then is a step recorded; the
+    step accumulates grad_of of the output gradient into each input that
+    requires one, in input order. prepare, if given, maps the output
+    gradient once per step to what every grad_of receives. A gradient an
+    input takes first is adopted as its grad without a copy, unless grad_of
+    handed back the very array it was given (an identity pass-through), which
+    another input or the output still holds.
     """
-    out = Tensor(values)
+    out = values if isinstance(values, Tensor) else Tensor(values)
     out.requires_grad = any(t.requires_grad for t, _ in inputs)
     if tape is not None and out.requires_grad:
         def backward() -> None:
             if out.grad is None:
                 return
+            g = out.grad if prepare is None else prepare(out.grad)
             for t, grad_of in inputs:
                 if t.requires_grad:
-                    _accumulate(t, grad_of(out.grad))
+                    delta = grad_of(g)
+                    _accumulate(t, delta.copy() if delta is g and t.grad is None else delta)
         tape.record(backward)
     return out
 
 
-def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
+def matmul(
+    a: Tensor,
+    b: Tensor,
+    tape: Tape | None = None,
+    *,
+    bias: Tensor | None = None,
+    relu: bool = False,
+) -> Tensor:
+    """a @ b, optionally followed by + bias and a ReLU, as one op.
+
+    The epilogue runs in place on the product: the bias is added, the
+    affine result is checked for finiteness once (before the ReLU, so an
+    overflow to -inf still raises), then the ReLU clips it. The values and
+    every gradient are bitwise those of relu(add_bias(matmul(a, b), bias)).
+    """
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    return _op(
-        a.values @ b.values,
-        tape,
-        (a, lambda g: g @ b.values.T),
-        (b, lambda g: a.values.T @ g),
-    )
+    if bias is not None and bias.shape != (1, b.shape[1]):
+        raise ValueError(
+            f"bias shape {bias.shape} does not broadcast over {(a.shape[0], b.shape[1])}"
+        )
+    values = a.values @ b.values
+    if bias is not None:
+        values += bias.values
+    out = Tensor(values)
+    inputs = [(a, lambda g: g @ b.values.T), (b, lambda g: a.values.T @ g)]
+    if bias is not None:
+        inputs.append((bias, lambda g: g.sum(axis=0, keepdims=True)))
+    prepare = None
+    if relu:
+        np.maximum(values, 0.0, out=values)
+        prepare = lambda g: g * (values > 0.0)
+    return _op(out, tape, *inputs, prepare=prepare)
 
 
 def add_bias(x: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
@@ -184,22 +239,33 @@ def row_scale(x: Tensor, s: np.ndarray, tape: Tape | None = None) -> Tensor:
     return _op(x.values * s[:, None], tape, (x, lambda g: g * s[:, None]))
 
 
+# Elements per block of SegmentIndex.gather_sum: a block's gathered rows are
+# a 512 KB temporary that stays in cache, where one gather over all pairs
+# would page in a fresh pair-sized array on every call.
+GATHER_BLOCK = 65_536
+
+
 @dataclass(frozen=True, eq=False)
 class SegmentIndex:
     """Flattened (target, source) incidence pairs for segment aggregation.
 
-    Pairs from from_lists are ordered by target then ascending source id;
-    every reduction sums in pair order, so it is order-deterministic. An
-    index keeps, for the life of the object, its flat bin ids for each row
-    width it has aggregated and its transpose for each source count, so
-    reusing one index (Hypergraph.segment_indices) builds each only once.
+    Pairs are ordered by target (from_lists also orders each target's
+    sources ascending); every reduction sums in pair order, so it is
+    order-deterministic. An index keeps, for the life of the object, its
+    block plan for each row width it has aggregated and its transpose for
+    each source count, so reusing one index (Hypergraph.segment_indices)
+    builds each only once.
     """
 
     n_targets: int
     target_ids: np.ndarray
     source_ids: np.ndarray
-    _bins: dict = field(default_factory=dict, init=False, repr=False)
+    _blocks: dict = field(default_factory=dict, init=False, repr=False)
     _transposes: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        if np.any(np.diff(self.target_ids) < 0):
+            raise ValueError("segment pairs must be ordered by target")
 
     @staticmethod
     def from_lists(index_lists: Sequence[Sequence[int]]) -> "SegmentIndex":
@@ -215,14 +281,31 @@ class SegmentIndex:
             source_ids=np.asarray(sources, dtype=np.int64),
         )
 
-    def bins(self, width: int) -> np.ndarray:
-        """Flat bin id target * width + column of every (pair, column), pair-major."""
-        flat = self._bins.get(width)
-        if flat is None:
-            targets = np.asarray(self.target_ids, dtype=np.int64)[:, None]
-            flat = (targets * width + np.arange(width, dtype=np.int64)).ravel()
-            self._bins[width] = flat
-        return flat
+    def blocks(self, width: int) -> list[tuple[slice, np.ndarray, int, int]]:
+        """The pairs in blocks of whole targets, for rows of this width.
+
+        Each block (pairs, bins, lo, hi) holds the pairs of targets lo..hi-1,
+        about GATHER_BLOCK // width of them, and the flat bin id
+        (target - lo) * width + column of each (pair, column), pair-major.
+        A target with more pairs than that gets a block of its own, and one
+        with no pairs lies inside the block around it. There is always at
+        least one block.
+        """
+        plan = self._blocks.get(width)
+        if plan is None:
+            starts = np.searchsorted(self.target_ids, np.arange(self.n_targets + 1))
+            per_block = max(1, GATHER_BLOCK // max(1, width))
+            marks = np.arange(per_block, len(self.target_ids), per_block)
+            cuts = np.searchsorted(starts, marks, side="right") - 1
+            bounds = [0, *np.unique(cuts[cuts > 0]).tolist(), self.n_targets]
+            columns = np.arange(width, dtype=np.int64)
+            plan = []
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                pairs = slice(int(starts[lo]), int(starts[hi]))
+                bins = ((self.target_ids[pairs] - lo)[:, None] * width + columns).ravel()
+                plan.append((pairs, bins, lo, hi))
+            self._blocks[width] = plan
+        return plan
 
     def transposed(self, n_sources: int) -> "SegmentIndex":
         """The same pairs keyed by source, for n_sources sources.
@@ -240,16 +323,22 @@ class SegmentIndex:
             self._transposes[n_sources] = back
         return back
 
-    def scatter_sum(self, rows: np.ndarray) -> np.ndarray:
-        """out[t] = sum of rows[k] over the pairs k with target t, in pair order.
+    def gather_sum(self, values: np.ndarray) -> np.ndarray:
+        """out[t] = sum of values[s] over the pairs (t, s), in pair order.
 
-        rows holds one row per pair; a target with no pairs gets a zero row.
+        Runs block by block (see blocks): each block gathers the source rows
+        of its pairs with one np.take and sums them with one np.bincount,
+        which adds in input order. Every target lies in one block, so its
+        row is summed in pair order, as one bincount over all pairs would
+        sum it. A target with no pairs gets a zero row.
         """
-        width = rows.shape[1]
-        summed = np.bincount(
-            self.bins(width), weights=rows.ravel(), minlength=self.n_targets * width
-        )
-        return summed.reshape(self.n_targets, width)
+        width = values.shape[1]
+        sums = []
+        for pairs, bins, lo, hi in self.blocks(width):
+            rows = np.take(values, self.source_ids[pairs], axis=0)
+            sums.append(np.bincount(bins, weights=rows.ravel(), minlength=(hi - lo) * width))
+        flat = sums[0] if len(sums) == 1 else np.concatenate(sums)
+        return flat.reshape(self.n_targets, width)
 
 
 def segment_mean_weighted(
@@ -281,14 +370,21 @@ def segment_mean_weighted(
     if np.any(divisors <= 0.0):
         raise ValueError("segment divisors must be strictly positive")
 
-    scaled = x.values * weights[:, None]
+    # x * 1.0 == x bit for bit, so unit weights skip the scaling passes.
+    unit = bool((weights == 1.0).all())
+    scaled = x.values if unit else x.values * weights[:, None]
 
     def grad_of(g: np.ndarray) -> np.ndarray:
         back = seg.transposed(n_src)
         spread = g / divisors[:, None]
-        return back.scatter_sum(spread[back.source_ids]) * weights[:, None]
+        summed = back.gather_sum(spread)
+        if not unit:
+            summed *= weights[:, None]
+        return summed
 
-    return _op(seg.scatter_sum(scaled[seg.source_ids]) / divisors[:, None], tape, (x, grad_of))
+    summed = seg.gather_sum(scaled)
+    summed /= divisors[:, None]
+    return _op(summed, tape, (x, grad_of))
 
 
 def softmax_cross_entropy(

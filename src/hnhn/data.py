@@ -40,6 +40,10 @@ from .rng import CounterRng
 
 _TOKEN = re.compile(r"[a-z0-9]+")
 
+# Elements per block of _l2_normalize_rows: a block's squares are a 128 KB
+# temporary, the same block size as training.ADAM_BLOCK.
+NORM_BLOCK = 16_384
+
 
 @dataclass
 class Corpus:
@@ -210,10 +214,18 @@ def _term_count_matrix(
 
 
 def _l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:
-    """Divide each row by its L2 norm in place; a zero row stays zero."""
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    matrix /= norms
+    """Divide each row by its L2 norm in place; a zero row stays zero.
+
+    Runs over blocks of whole rows, about NORM_BLOCK elements each, so the
+    squares it sums are one block's, not a copy of the whole matrix. Each
+    row's norm is the sum np.linalg.norm(axis=1) forms, bit for bit.
+    """
+    rows = max(1, NORM_BLOCK // max(1, matrix.shape[1]))
+    for lo in range(0, matrix.shape[0], rows):
+        block = matrix[lo : lo + rows]
+        norms = np.sqrt(np.add.reduce(block * block, axis=1, keepdims=True))
+        norms[norms == 0.0] = 1.0
+        block /= norms
     return matrix
 
 

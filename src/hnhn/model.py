@@ -29,11 +29,9 @@ import numpy as np
 from .autodiff import (
     Tape,
     Tensor,
-    add_bias,
     dropout,
     matmul,
     read_tensor,
-    relu,
     row_scale,
     segment_mean_weighted,
     write_tensor,
@@ -182,7 +180,7 @@ def fold_input(
     One np.bincount over the nonzeros of X, in the edge-major pair order of
     the aggregation, so each entry is summed in the order segment_mean_weighted
     would sum it. Only the nonzeros are expanded: the width-F bin ids of
-    SegmentIndex.bins would hold one id per incidence and column.
+    SegmentIndex.blocks would hold one id per incidence and column.
     """
     x = features if isinstance(features, Tensor) else Tensor(features)
     if x.shape[0] != h.n:
@@ -196,8 +194,9 @@ def fold_input(
     scales = tables.node_scale_beta[node_ids]
     divisors = tables.edge_divisor_beta[:, None]
 
-    rows, cols = np.nonzero(x.values)
-    nonzeros = x.values[rows, cols]
+    flat = np.flatnonzero(x.values != 0)
+    rows, cols = np.divmod(flat, width)
+    nonzeros = x.values.ravel()[flat]
     per_row = np.bincount(rows, minlength=h.n)
     per_pair = per_row[node_ids]
     # Entry k pairs incidence pair_of[k] with the nonzero nz[k] of its node's
@@ -252,51 +251,35 @@ def forward(
 
     into_edges, into_nodes = h.segment_indices
     if folded:
-        gathered = add_bias(
-            matmul(node_features.values, model.input_weight, tape), model.input_bias, tape
-        )
+        gathered = matmul(node_features.values, model.input_weight, tape, bias=model.input_bias)
         if not node_features.coverage.all():
             gathered = row_scale(gathered, node_features.coverage, tape)
     else:
-        x = add_bias(matmul(node_features, model.input_weight, tape), model.input_bias, tape)
+        x = matmul(node_features, model.input_weight, tape, bias=model.input_bias)
     edge_state = Tensor(np.zeros((h.m, model.hidden_dim)))
     for layer in range(model.n_layers):
         if layer > 0 or not folded:
             gathered = segment_mean_weighted(
                 x, into_edges, tables.node_scale_beta, tables.edge_divisor_beta, tape
             )
-        edge_state = relu(
-            add_bias(
-                matmul(gathered, model.edge_weights[layer], tape),
-                model.edge_biases[layer],
-                tape,
-            ),
-            tape,
+        edge_state = matmul(
+            gathered, model.edge_weights[layer], tape, bias=model.edge_biases[layer], relu=True
         )
         scattered = segment_mean_weighted(
             edge_state, into_nodes, tables.edge_scale_alpha, tables.node_divisor_alpha, tape
         )
-        x = relu(
-            add_bias(
-                matmul(scattered, model.node_weights[layer], tape),
-                model.node_biases[layer],
-                tape,
-            ),
-            tape,
+        x = matmul(
+            scattered, model.node_weights[layer], tape, bias=model.node_biases[layer], relu=True
         )
         if needs_dropout and layer < model.n_layers - 1:
             x = dropout(x, model.dropout_rate, training=True, rng=rng, tape=tape)
 
-    node_logits = add_bias(
-        matmul(x, model.node_head_weight, tape), model.node_head_bias, tape
-    )
+    node_logits = matmul(x, model.node_head_weight, tape, bias=model.node_head_bias)
     return ForwardResult(node_logits=node_logits, edge_state=edge_state, node_state=x)
 
 
 def edge_logits(model: HnhnModel, edge_state: Tensor, tape: Tape | None = None) -> Tensor:
-    return add_bias(
-        matmul(edge_state, model.edge_head_weight, tape), model.edge_head_bias, tape
-    )
+    return matmul(edge_state, model.edge_head_weight, tape, bias=model.edge_head_bias)
 
 
 def predict(logits: Tensor | np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from hnhn import autodiff
 from hnhn.autodiff import (
     SegmentIndex,
     Tape,
@@ -157,6 +158,114 @@ class TestElementwiseOps:
         loss = tensor_sum(add(x, x, tape), tape)
         tape.backward(loss)
         assert np.array_equal(x.grad, 2.0 * np.ones((1, 2)))
+
+
+class TestFusedMatmul:
+    """matmul(a, b, bias=, relu=) against relu(add_bias(matmul(a, b), bias))."""
+
+    # a @ b + bias has exact zeros at the ReLU kink ([0, 0], [1, 1]) and
+    # negative zeros ([1, 2]); a, b and the bias hold -0.0 entries too.
+    A = np.array([[1.0, 2.0], [0.0, -0.0], [3.0, -1.0]])
+    B = np.array([[1.0, -1.0, 0.5], [0.5, 2.0, -0.0]])
+    BIAS = np.array([[-2.0, 0.0, -0.0]])
+    # Weights of the loss, so that every output entry gets its own gradient.
+    C = np.array([[0.3, -1.1], [2.5, 0.7], [-0.9, 1.3]])
+
+    def _run(self, fused: bool, relu_on: bool, with_bias: bool, with_tape: bool):
+        a = Tensor(self.A, requires_grad=True)
+        b = Tensor(self.B, requires_grad=True)
+        bias = Tensor(self.BIAS, requires_grad=True) if with_bias else None
+        tape = Tape() if with_tape else None
+        if fused:
+            out = matmul(a, b, tape, bias=bias, relu=relu_on)
+            steps = len(tape) if with_tape else 0
+        else:
+            out = matmul(a, b, tape)
+            if with_bias:
+                out = add_bias(out, bias, tape)
+            if relu_on:
+                out = relu(out, tape)
+            steps = 0
+        if with_tape:
+            tape.backward(tensor_sum(matmul(out, Tensor(self.C), tape), tape))
+        grads = [t.grad for t in (a, b, bias) if t is not None]
+        return out.values, grads, steps
+
+    @pytest.mark.parametrize("relu_on", [False, True])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("with_tape", [False, True])
+    def test_bitwise_equal_to_unfused_ops(self, relu_on, with_bias, with_tape):
+        values, grads, steps = self._run(True, relu_on, with_bias, with_tape)
+        ref_values, ref_grads, _ = self._run(False, relu_on, with_bias, with_tape)
+        assert values.tobytes() == ref_values.tobytes()
+        for grad, ref in zip(grads, ref_grads):
+            if with_tape:
+                assert grad.tobytes() == ref.tobytes()
+            else:
+                assert grad is None and ref is None
+        assert steps == (1 if with_tape else 0)
+        if relu_on and with_bias:
+            assert values[0, 0] == 0.0 and values[1, 1] == 0.0
+
+    def test_kink_zeros_pass_no_gradient(self):
+        _, (_, _, bias_grad), _ = self._run(True, True, True, True)
+        # Column 1 is positive only in row 0 and column 0 only in row 2.
+        assert bias_grad[0, 0] == self.C[0].sum()
+        assert bias_grad[0, 1] == self.C[1].sum()
+
+    def test_overflow_to_minus_inf_raises_before_the_relu(self):
+        a = Tensor([[1.0]])
+        w = Tensor([[-1.5e308]], requires_grad=True)
+        bias = Tensor([[-1.5e308]], requires_grad=True)
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+            matmul(a, w, Tape(), bias=bias, relu=True)
+
+    def test_rejects_bad_bias_shape(self):
+        with pytest.raises(ValueError):
+            matmul(Tensor(np.zeros((4, 3))), Tensor(np.zeros((3, 2))), bias=Tensor(np.zeros((1, 3))))
+
+
+class TestGradientAdoption:
+    """A first gradient is adopted uncopied, except an identity pass-through."""
+
+    @pytest.mark.parametrize("op", ["add", "add_bias"])
+    def test_one_gradient_handed_to_two_inputs_is_not_shared(self, op):
+        rng = np.random.default_rng(30)
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        other = Tensor(rng.normal(size=(2, 3) if op == "add" else (1, 3)), requires_grad=True)
+        c = Tensor(rng.normal(size=(3, 3)))
+        tape = Tape()
+        # x feeds a matmul recorded first, so its backward step adds into
+        # x.grad after the pass-through has handed x the output's gradient.
+        early = matmul(x, c, tape)
+        y = add(x, other, tape) if op == "add" else add_bias(x, other, tape)
+        loss = tensor_sum(add(y, early, tape), tape)
+        tape.backward(loss)
+        assert not np.shares_memory(x.grad, y.grad)
+        if op == "add":
+            assert not np.shares_memory(x.grad, other.grad)
+            assert np.array_equal(other.grad, np.ones((2, 3)))
+        else:
+            assert np.array_equal(other.grad, [[2.0, 2.0, 2.0]])
+        assert np.array_equal(y.grad, np.ones((2, 3)))
+        expected = np.ones((2, 3))
+        expected += np.ones((2, 3)) @ c.values.T
+        assert np.array_equal(x.grad, expected)
+
+    def test_multiple_consumers_sum_in_tape_order(self):
+        rng = np.random.default_rng(31)
+        x = Tensor(rng.normal(size=(3, 4)) * 10.0 ** rng.integers(-6, 6, size=(3, 4)), requires_grad=True)
+        cs = [Tensor(rng.normal(size=(4, 4)) * 10.0 ** k) for k in (-5, 0, 5)]
+        tape = Tape()
+        outs = [matmul(x, c, tape) for c in cs]
+        loss = tensor_sum(add(add(outs[0], outs[1], tape), outs[2], tape), tape)
+        tape.backward(loss)
+        # The tape runs backward, so the last consumer's gradient comes first.
+        deltas = [np.ones((3, 4)) @ c.values.T for c in cs]
+        expected = deltas[2].copy()
+        expected += deltas[1]
+        expected += deltas[0]
+        assert x.grad.tobytes() == expected.tobytes()
 
 
 class TestRequiresGrad:
@@ -338,6 +447,22 @@ def _forward_and_grad(x_values, seg, weights, divisors, upstream):
     return out.values, x.grad
 
 
+def _scaling_reference(x, seg, weights, divisors, upstream):
+    """The aggregation as one bincount over all pairs, with its scaling
+    passes always on: (forward output, gradient of x for the upstream)."""
+
+    def scatter(index, rows):
+        width = rows.shape[1]
+        bins = (index.target_ids[:, None] * width + np.arange(width)).ravel()
+        summed = np.bincount(bins, weights=rows.ravel(), minlength=index.n_targets * width)
+        return summed.reshape(index.n_targets, width)
+
+    back = seg.transposed(x.shape[0])
+    out = scatter(seg, (x * weights[:, None])[seg.source_ids]) / divisors[:, None]
+    spread = upstream / divisors[:, None]
+    return out, scatter(back, spread[back.source_ids]) * weights[:, None]
+
+
 class TestSegmentKernelMatchesAddAt:
     # Node 5 is in no edge: a source in no target of the edge-major index
     # and a target with no sources of the node-major one.
@@ -382,6 +507,20 @@ class TestSegmentKernelMatchesAddAt:
         x_values = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-8, 8, size=(n, 1))
         self._check(x_values, seg, np.ones(n), np.ones(targets), rng)
 
+    def test_unit_weights_match_the_scaling_formula(self):
+        # Unit weights skip the scaling passes; x * 1.0 is x bit for bit.
+        rng = np.random.default_rng(23)
+        h = build_hypergraph(self.EDGES, self.N)
+        for seg, n_src in zip(h.segment_indices, (h.n, h.m)):
+            x_values = rng.normal(size=(n_src, 5))
+            x_values[0, :2] = -0.0
+            divisors = rng.uniform(0.5, 3.0, seg.n_targets)
+            upstream = rng.normal(size=(seg.n_targets, 5))
+            out, grad = _forward_and_grad(x_values, seg, np.ones(n_src), divisors, upstream)
+            ref_out, ref_grad = _scaling_reference(x_values, seg, np.ones(n_src), divisors, upstream)
+            assert out.tobytes() == ref_out.tobytes()
+            assert grad.tobytes() == ref_grad.tobytes()
+
     def test_transpose_is_cached_and_links_back(self):
         seg = SegmentIndex.from_lists([[1, 0], [2]])
         back = seg.transposed(3)
@@ -389,8 +528,37 @@ class TestSegmentKernelMatchesAddAt:
         assert back.transposed(2) is seg
         assert np.array_equal(back.target_ids, [0, 1, 2])
         assert np.array_equal(back.source_ids, [0, 0, 1])
-        assert seg.bins(2) is seg.bins(2)
-        assert np.array_equal(seg.bins(2), [0, 1, 0, 1, 2, 3])
+        assert seg.blocks(2) is seg.blocks(2)
+        ((pairs, bins, lo, hi),) = seg.blocks(2)
+        assert (pairs, lo, hi) == (slice(0, 3), 0, 2)
+        assert np.array_equal(bins, [0, 1, 0, 1, 2, 3])
+
+    def test_many_blocks_match_one_bincount_and_add_at(self, monkeypatch):
+        # Blocks of 3 rows of width 2: target 2 (seven pairs) gets a block of
+        # its own, and the empty targets 1, 4 and 9 lie inside blocks.
+        monkeypatch.setattr(autodiff, "GATHER_BLOCK", 6)
+        rng = np.random.default_rng(24)
+        lists = [[0, 3], [], [1, 2, 3, 4, 5, 6, 7], [2], [], [0, 5], [6], [1, 7], [3, 4], []]
+        seg = SegmentIndex.from_lists(lists)
+        weights = rng.uniform(0.5, 2.0, 8)
+        divisors = rng.uniform(0.5, 3.0, len(lists))
+        x_values = rng.normal(size=(8, 2)) * 10.0 ** rng.integers(-8, 8, size=(8, 1))
+        upstream = rng.normal(size=(len(lists), 2))
+        out, grad = _forward_and_grad(x_values, seg, weights, divisors, upstream)
+        for ref_out, ref_grad in (
+            _scaling_reference(x_values, seg, weights, divisors, upstream),
+            _add_at_reference(x_values, seg, weights, divisors, upstream),
+        ):
+            assert out.tobytes() == ref_out.tobytes()
+            assert grad.tobytes() == ref_grad.tobytes()
+        bounds = [(lo, hi) for _, _, lo, hi in seg.blocks(2)]
+        assert len(bounds) > 3 and (2, 3) in bounds
+        assert [lo for lo, _ in bounds[1:]] == [hi for _, hi in bounds[:-1]]
+        assert bounds[0][0] == 0 and bounds[-1][1] == len(lists)
+
+    def test_pairs_must_be_ordered_by_target(self):
+        with pytest.raises(ValueError, match="ordered by target"):
+            SegmentIndex(2, np.array([1, 0]), np.array([0, 1]))
 
 
 class TestSoftmaxCrossEntropy:

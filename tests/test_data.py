@@ -11,6 +11,8 @@ import pytest
 
 from hnhn.autodiff import read_tensor
 from hnhn.data import (
+    NORM_BLOCK,
+    _l2_normalize_rows,
     _term_count_matrix,
     bow_features,
     build_coauthorship_hypergraph,
@@ -338,6 +340,29 @@ class TestTfidfFeatures:
             tfidf_features(["", "!!! ..."], max_doc_freq=0.9)
         with pytest.raises(ValueError):
             tfidf_features([])
+
+
+class TestBlockedNormalization:
+    def test_matches_whole_matrix_norm_across_blocks(self):
+        # 3 x NORM_BLOCK + 37 elements in rows of 300: several blocks whose
+        # row count does not divide the matrix, plus a zero row in each.
+        rng = np.random.default_rng(50)
+        rows = (3 * NORM_BLOCK + 37) // 300 + 1
+        matrix = rng.poisson(0.3, size=(rows, 300)) * rng.uniform(0.1, 9.0, size=(rows, 300))
+        matrix[[0, NORM_BLOCK // 300, rows - 1]] = 0.0
+        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        expected = matrix / norms
+        result = _l2_normalize_rows(matrix)
+        assert result is matrix
+        assert result.tobytes() == expected.tobytes()
+        assert not result[rows - 1].any()
+
+    def test_rows_wider_than_a_block(self):
+        rng = np.random.default_rng(51)
+        matrix = rng.uniform(0.0, 1.0, size=(3, NORM_BLOCK + 5))
+        expected = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
+        assert _l2_normalize_rows(matrix).tobytes() == expected.tobytes()
 
 
 class TestBowFeatures:

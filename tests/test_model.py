@@ -11,7 +11,18 @@ import numpy as np
 import pytest
 
 import hnhn
-from hnhn.autodiff import Tape, Tensor, add, segment_mean_weighted, tensor_sum
+from hnhn.autodiff import (
+    Tape,
+    Tensor,
+    add,
+    add_bias,
+    dropout,
+    matmul,
+    relu,
+    segment_mean_weighted,
+    softmax_cross_entropy,
+    tensor_sum,
+)
 from hnhn.expansion import (
     fano_pair,
     graph_convolution_step,
@@ -232,6 +243,56 @@ class TestReferenceAgreement:
         assert not np.array_equal(eval_out.node_logits.values, train_out.node_logits.values)
 
 
+def _unfused_forward(model, h, tables, features, rng, tape):
+    """model.forward's raw route with dropout, written with separate
+    matmul, add_bias and relu ops: the node logits."""
+    into_edges, into_nodes = h.segment_indices
+    x = add_bias(matmul(features, model.input_weight, tape), model.input_bias, tape)
+    for layer in range(model.n_layers):
+        gathered = segment_mean_weighted(
+            x, into_edges, tables.node_scale_beta, tables.edge_divisor_beta, tape
+        )
+        edge = matmul(gathered, model.edge_weights[layer], tape)
+        edge = relu(add_bias(edge, model.edge_biases[layer], tape), tape)
+        scattered = segment_mean_weighted(
+            edge, into_nodes, tables.edge_scale_alpha, tables.node_divisor_alpha, tape
+        )
+        x = matmul(scattered, model.node_weights[layer], tape)
+        x = relu(add_bias(x, model.node_biases[layer], tape), tape)
+        if layer < model.n_layers - 1:
+            x = dropout(x, model.dropout_rate, training=True, rng=rng, tape=tape)
+    return add_bias(matmul(x, model.node_head_weight, tape), model.node_head_bias, tape)
+
+
+class TestFusedLayers:
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (0.5, -0.5)])
+    def test_dropout_forward_and_backward_match_unfused_ops(self, alpha, beta):
+        h = random_hypergraph(40, 20, seed=41, max_size=5)
+        model = init_model(
+            6, 8, n_classes=3, n_layers=2, dropout_rate=0.3, alpha=alpha, beta=beta, seed=42
+        )
+        features = Tensor(np.random.default_rng(43).normal(size=(h.n, 6)))
+        labels = np.arange(h.n) % 3
+        rows = np.arange(0, h.n, 2)
+        tables = normalization_tables(h, alpha, beta)
+        results = []
+        for fused in (True, False):
+            model.zero_grads()
+            tape = Tape()
+            if fused:
+                logits = forward(
+                    model, h, tables, features, training=True, rng=CounterRng(44), tape=tape
+                ).node_logits
+            else:
+                logits = _unfused_forward(model, h, tables, features, CounterRng(44), tape)
+            tape.backward(softmax_cross_entropy(logits, labels, rows, tape))
+            results.append([logits.values] + [p.grad for p in model.parameters()])
+        ours, theirs = results
+        assert all(p.grad is not None for p in model.parameters()[:-2])
+        for mine, ref in zip(ours[:-2], theirs[:-2]):
+            assert mine.tobytes() == ref.tobytes()
+
+
 def _fold_fixture():
     """A graph with a degree-0 node (8) and an all-zero feature row (3).
 
@@ -336,8 +397,8 @@ class TestFoldedInput:
         train_node_classifier(h, features, labels, mask, config)
         indices = list(h.segment_indices)
         indices += [t for index in indices for t in index._transposes.values()]
-        assert 8 in indices[0]._bins
-        assert all(50 not in index._bins for index in indices)
+        assert 8 in indices[0]._blocks
+        assert all(50 not in index._blocks for index in indices)
 
 
 class TestEquivariance:
