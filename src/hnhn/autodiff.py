@@ -21,9 +21,20 @@ A dense layer is one op: matmul takes an optional bias and ReLU as an
 epilogue that runs in place on the product. The affine result is checked
 for finiteness once, before the ReLU clips it, so an overflow to -inf still
 raises; the backward step forms the masked gradient g * (out > 0) once and
-derives the bias, weight and input gradients from it. Values and gradients
-are bit for bit those of the separate matmul, add_bias and relu ops, which
-remain for tests and tools.
+derives the bias, weight and input gradients from it. Values, and the
+gradients of the dense path below, are bit for bit those of the separate
+matmul, add_bias and relu ops, which remain for tests and tools.
+
+A backward step of matmul or segment_mean_weighted touches only the rows
+its output gradient reaches. A loss over some rows (the training rows of a
+semi-supervised fit) leaves the other rows of every gradient below it exact
+zeros, so a step finds its reached rows with one g.any(axis=1) pass and,
+when at most half the rows are reached, masks, multiplies and gathers
+those rows only; the other rows of the input gradient are +0.0. Gradients
+of fewer than ROW_RESTRICT_FLOOR elements, and gradients that reach more
+than half the rows, take the dense path. The aggregation's restricted
+gradient is the dense one bit for bit; matmul's weight and bias gradients
+sum the same nonzero terms grouped differently, so they agree to rounding.
 
 The one non-generic primitive is segment_mean_weighted, a gather/scatter
 aggregation over per-target source-id lists. It computes the weighted-mean
@@ -48,7 +59,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO, Callable, Sequence
+from typing import BinaryIO, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -138,10 +149,10 @@ def _op(
     gradient when any input does, and only then is a step recorded; the
     step accumulates grad_of of the output gradient into each input that
     requires one, in input order. prepare, if given, maps the output
-    gradient once per step to what every grad_of receives. A gradient an
-    input takes first is adopted as its grad without a copy, unless grad_of
-    handed back the very array it was given (an identity pass-through), which
-    another input or the output still holds.
+    gradient and the output values once per step to what every grad_of
+    receives. A gradient an input takes first is adopted as its grad without
+    a copy, unless grad_of handed back the very array it was given (an
+    identity pass-through), which another input or the output still holds.
     """
     out = values if isinstance(values, Tensor) else Tensor(values)
     out.requires_grad = any(t.requires_grad for t, _ in inputs)
@@ -149,13 +160,61 @@ def _op(
         def backward() -> None:
             if out.grad is None:
                 return
-            g = out.grad if prepare is None else prepare(out.grad)
+            g = out.grad if prepare is None else prepare(out.grad, out.values)
             for t, grad_of in inputs:
                 if t.requires_grad:
                     delta = grad_of(g)
                     _accumulate(t, delta.copy() if delta is g and t.grad is None else delta)
         tape.record(backward)
     return out
+
+
+# Gradients of fewer elements than this always take the dense backward path
+# (see _reached_rows): at that size the whole product is cheap, and the any()
+# pass that finds the reached rows would cost about what skipping them saves.
+ROW_RESTRICT_FLOOR = 65_536
+
+
+class _Reached(NamedTuple):
+    """A matmul's output gradient, ReLU-masked if the op has a ReLU: all of
+    it when rows is None, else only the rows that the boolean mask rows
+    marks, all others being zero."""
+
+    rows: np.ndarray | None
+    grad: np.ndarray
+
+
+def _reached_rows(g: np.ndarray) -> np.ndarray | None:
+    """The rows of g that are not all zero, as a boolean mask, when g has at
+    least ROW_RESTRICT_FLOOR elements and at most half its rows are
+    reached; None (the dense path) otherwise."""
+    if g.size < ROW_RESTRICT_FLOOR:
+        return None
+    reached = g.any(axis=1)
+    return reached if 2 * np.count_nonzero(reached) <= len(reached) else None
+
+
+def _reached(g: np.ndarray, values: np.ndarray) -> _Reached:
+    rows = _reached_rows(g)
+    return _Reached(rows, g if rows is None else g[rows])
+
+
+def _relu_reached(g: np.ndarray, values: np.ndarray) -> _Reached:
+    rows = _reached_rows(g)
+    if rows is None:
+        return _Reached(None, g * (values > 0.0))
+    g = g[rows]
+    g *= values[rows] > 0.0
+    return _Reached(rows, g)
+
+
+def _spread_rows(r: _Reached, grad: np.ndarray) -> np.ndarray:
+    """grad, computed for the reached rows only, as a full gradient."""
+    if r.rows is None:
+        return grad
+    full = np.zeros((len(r.rows), grad.shape[1]))
+    full[r.rows] = grad
+    return full
 
 
 def matmul(
@@ -170,8 +229,13 @@ def matmul(
 
     The epilogue runs in place on the product: the bias is added, the
     affine result is checked for finiteness once (before the ReLU, so an
-    overflow to -inf still raises), then the ReLU clips it. The values and
-    every gradient are bitwise those of relu(add_bias(matmul(a, b), bias)).
+    overflow to -inf still raises), then the ReLU clips it. The values are
+    bitwise those of relu(add_bias(matmul(a, b), bias)), and so is every
+    gradient of a step that takes the dense path. A step whose output
+    gradient reaches at most half the rows (see _reached_rows) masks and
+    multiplies those rows only: the input gradient is zero in every other
+    row, and the weight and bias gradients sum the same terms without the
+    zero ones, which BLAS and NumPy may group differently.
     """
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
@@ -183,14 +247,15 @@ def matmul(
     if bias is not None:
         values += bias.values
     out = Tensor(values)
-    inputs = [(a, lambda g: g @ b.values.T), (b, lambda g: a.values.T @ g)]
-    if bias is not None:
-        inputs.append((bias, lambda g: g.sum(axis=0, keepdims=True)))
-    prepare = None
     if relu:
         np.maximum(values, 0.0, out=values)
-        prepare = lambda g: g * (values > 0.0)
-    return _op(out, tape, *inputs, prepare=prepare)
+    inputs = [
+        (a, lambda r: _spread_rows(r, r.grad @ b.values.T)),
+        (b, lambda r: (a.values if r.rows is None else a.values[r.rows]).T @ r.grad),
+    ]
+    if bias is not None:
+        inputs.append((bias, lambda r: r.grad.sum(axis=0, keepdims=True)))
+    return _op(out, tape, *inputs, prepare=_relu_reached if relu else _reached)
 
 
 def add_bias(x: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
@@ -323,7 +388,7 @@ class SegmentIndex:
             self._transposes[n_sources] = back
         return back
 
-    def gather_sum(self, values: np.ndarray) -> np.ndarray:
+    def gather_sum(self, values: np.ndarray, sources: np.ndarray | None = None) -> np.ndarray:
         """out[t] = sum of values[s] over the pairs (t, s), in pair order.
 
         Runs block by block (see blocks): each block gathers the source rows
@@ -331,14 +396,29 @@ class SegmentIndex:
         which adds in input order. Every target lies in one block, so its
         row is summed in pair order, as one bincount over all pairs would
         sum it. A target with no pairs gets a zero row.
+
+        Given sources, a boolean mask over the source ids, values holds only
+        the rows of the marked sources, in id order, and each block skips
+        the pairs of unmarked sources. When the unmarked rows of the full
+        array are zero this is the full sum bit for bit: a bincount sum
+        starts at +0.0 and so is never -0.0, and adding a zero of either
+        sign to any other value leaves it as it is.
         """
         width = values.shape[1]
+        if sources is not None:
+            slots = np.cumsum(sources) - 1
         sums = []
         for pairs, bins, lo, hi in self.blocks(width):
-            rows = np.take(values, self.source_ids[pairs], axis=0)
+            ids = self.source_ids[pairs]
+            if sources is not None:
+                kept = sources[ids]
+                ids = slots[ids[kept]]
+                bins = bins.reshape(-1, width)[kept].ravel()
+            rows = np.take(values, ids, axis=0)
             sums.append(np.bincount(bins, weights=rows.ravel(), minlength=(hi - lo) * width))
         flat = sums[0] if len(sums) == 1 else np.concatenate(sums)
-        return flat.reshape(self.n_targets, width)
+        # bincount over no pairs at all returns integer zeros.
+        return flat.astype(np.float64, copy=False).reshape(self.n_targets, width)
 
 
 def segment_mean_weighted(
@@ -353,8 +433,9 @@ def segment_mean_weighted(
     Equivalent to the dense product D_l^{-1} A D_r x for the 0/1 incidence
     matrix A implied by index_lists, computed without materializing A.
     Backward distributes weights[s]/divisors[t] of each target gradient row
-    back to its contributing source rows. Pass a prebuilt SegmentIndex to
-    reuse its cached bin ids and transpose across calls.
+    back to its contributing source rows, skipping the pairs of targets the
+    gradient does not reach (see _reached_rows). Pass a prebuilt
+    SegmentIndex to reuse its cached bin ids and transpose across calls.
     """
     seg = index_lists if isinstance(index_lists, SegmentIndex) else SegmentIndex.from_lists(index_lists)
     weights = np.asarray(weights, dtype=np.float64).reshape(-1)
@@ -376,8 +457,11 @@ def segment_mean_weighted(
 
     def grad_of(g: np.ndarray) -> np.ndarray:
         back = seg.transposed(n_src)
-        spread = g / divisors[:, None]
-        summed = back.gather_sum(spread)
+        reached = _reached_rows(g)
+        if reached is None:
+            summed = back.gather_sum(g / divisors[:, None])
+        else:
+            summed = back.gather_sum(g[reached] / divisors[reached, None], reached)
         if not unit:
             summed *= weights[:, None]
         return summed

@@ -251,6 +251,8 @@ def _train_loop(
         metrics.train_accs.append(_accuracy(predicted, labels, train_rows))
         metrics.test_accs.append(_accuracy(predicted, labels, eval_rows))
     metrics.seconds = time.perf_counter() - started
+    # Release the last epoch's gradients, one parameter-sized array each.
+    model.zero_grads()
     return model, metrics
 
 

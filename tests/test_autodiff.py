@@ -225,6 +225,100 @@ class TestFusedMatmul:
             matmul(Tensor(np.zeros((4, 3))), Tensor(np.zeros((3, 2))), bias=Tensor(np.zeros((1, 3))))
 
 
+def _backward_from(tape: Tape, out: Tensor, upstream: np.ndarray) -> None:
+    """Run tape backward with out's gradient seeded by upstream."""
+    # Recorded last, so it runs first: seeds out.grad with an arbitrary
+    # upstream gradient instead of one shaped by a downstream loss.
+    tape.record(lambda: setattr(out, "grad", upstream))
+    tape.backward(Tensor([[0.0]]))
+
+
+def _dense_matmul_grads(a, b, bias, relu_on, upstream):
+    """The dense backward of matmul(a, b, bias=, relu=): the input, weight
+    and bias gradients for the output gradient upstream."""
+    values = a @ b if bias is None else a @ b + bias
+    g = upstream * (values > 0.0) if relu_on else upstream
+    return g @ b.T, a.T @ g, g.sum(axis=0, keepdims=True)
+
+
+def _within(grad, ref, rel=1e-12):
+    """grad equals ref up to rel times ref's largest magnitude."""
+    return np.max(np.abs(grad - ref), initial=0.0) <= rel * np.max(np.abs(ref), initial=0.0)
+
+
+class TestRestrictedMatmulBackward:
+    """The row-restricted matmul backward against the dense formula."""
+
+    N, K, W = 10, 6, 8
+    # (rows the output gradient reaches, whether the step restricts to them)
+    PATTERNS = {
+        "no zero rows": (list(range(N)), False),
+        "one live row": ([3], True),
+        "just under half": ([0, 2, 5, 9], True),
+        "exactly half": ([0, 1, 4, 7, 8], True),
+        "just over half": ([0, 1, 2, 4, 7, 8], False),
+        "all zero": ([], True),
+    }
+
+    def _run(self, live, relu_on, with_bias, constant_a, n=N, w=W, seed=41):
+        rng = np.random.default_rng(seed)
+        # The pre-activations are about half negative, so the ReLU masks
+        # entries inside the reached rows too.
+        a_values = rng.normal(size=(n, self.K))
+        b_values = rng.normal(size=(self.K, w))
+        bias_values = rng.normal(size=(1, w)) if with_bias else None
+        upstream = np.zeros((n, w))
+        upstream[live] = rng.normal(size=(len(live), w))
+        # Zero rows may hold -0.0 and still carry no gradient.
+        upstream[[r for r in range(n) if r not in live][:1], :3] = -0.0
+        a = Tensor(a_values, requires_grad=not constant_a)
+        b = Tensor(b_values, requires_grad=True)
+        bias = Tensor(bias_values, requires_grad=True) if with_bias else None
+        tape = Tape()
+        out = matmul(a, b, tape, bias=bias, relu=relu_on)
+        _backward_from(tape, out, upstream)
+        ref = _dense_matmul_grads(a_values, b_values, bias_values, relu_on, upstream)
+        grads = (a.grad, b.grad, bias.grad if with_bias else None)
+        return grads, ref
+
+    @pytest.mark.parametrize("pattern", PATTERNS.values(), ids=PATTERNS.keys())
+    @pytest.mark.parametrize("relu_on", [False, True])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("constant_a", [False, True])
+    def test_matches_dense_backward(
+        self, pattern, relu_on, with_bias, constant_a, monkeypatch, restricted_steps
+    ):
+        monkeypatch.setattr(autodiff, "ROW_RESTRICT_FLOOR", 1)
+        live, restricts = pattern
+        (ga, gb, gbias), (ref_a, ref_b, ref_bias) = self._run(live, relu_on, with_bias, constant_a)
+        assert restricted_steps == [restricts]
+        if constant_a:
+            assert ga is None
+        pairs = [(gb, ref_b)] + ([] if constant_a else [(ga, ref_a)])
+        pairs += [(gbias, ref_bias)] if with_bias else []
+        for grad, ref in pairs:
+            if restricts:
+                assert _within(grad, ref)
+            else:
+                assert grad.tobytes() == ref.tobytes()
+        if restricts and not constant_a:
+            dead = [r for r in range(self.N) if r not in live]
+            assert (ga[dead] == 0.0).all() and not np.signbit(ga[dead]).any()
+
+    def test_below_the_size_floor_is_the_dense_formula_bitwise(self, restricted_steps):
+        # 16 rows, one reached: one column short of the floor the step runs
+        # dense and matches the formula bit for bit; at the floor it restricts.
+        floor = autodiff.ROW_RESTRICT_FLOOR
+        for width, restricts in ((floor // 16 - 1, False), (floor // 16, True)):
+            (ga, gb, gbias), ref = self._run([5], True, True, False, n=16, w=width, seed=42)
+            assert restricted_steps[-1] == restricts
+            for grad, expected in zip((ga, gb, gbias), ref):
+                if restricts:
+                    assert _within(grad, expected)
+                else:
+                    assert grad.tobytes() == expected.tobytes()
+
+
 class TestGradientAdoption:
     """A first gradient is adopted uncopied, except an identity pass-through."""
 
@@ -371,6 +465,14 @@ class TestSegmentMeanWeighted:
         out = segment_mean_weighted(x, self.LISTS, self.WEIGHTS, self.DIVISORS)
         assert np.array_equal(out.values[2], np.zeros(2))
 
+    def test_index_without_pairs_gives_zero_rows(self):
+        x = Tensor(np.ones((4, 2)), requires_grad=True)
+        tape = Tape()
+        out = segment_mean_weighted(x, [[], []], self.WEIGHTS, np.ones(2), tape)
+        _backward_from(tape, out, np.ones((2, 2)))
+        assert out.values.dtype == np.float64 and np.array_equal(out.values, np.zeros((2, 2)))
+        assert x.grad.dtype == np.float64 and np.array_equal(x.grad, np.zeros((4, 2)))
+
     def test_backward_matches_dense_transpose(self):
         rng = np.random.default_rng(6)
         x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
@@ -440,10 +542,7 @@ def _forward_and_grad(x_values, seg, weights, divisors, upstream):
     x = Tensor(x_values, requires_grad=True)
     tape = Tape()
     out = segment_mean_weighted(x, seg, weights, divisors, tape)
-    # Recorded last, so it runs first: seeds out.grad with an arbitrary
-    # upstream gradient instead of one shaped by a downstream loss.
-    tape.record(lambda: setattr(out, "grad", upstream))
-    tape.backward(Tensor([[0.0]]))
+    _backward_from(tape, out, upstream)
     return out.values, x.grad
 
 
@@ -559,6 +658,68 @@ class TestSegmentKernelMatchesAddAt:
     def test_pairs_must_be_ordered_by_target(self):
         with pytest.raises(ValueError, match="ordered by target"):
             SegmentIndex(2, np.array([1, 0]), np.array([0, 1]))
+
+
+class TestRestrictedAggregationBackward:
+    """The aggregation backward over the reached targets only, bit for bit
+    the full back.gather_sum path."""
+
+    # Target 1 is empty and source 5 is in no target.
+    LISTS = [[4, 0, 2], [], [2, 1], [2], [3, 0]]
+    N = 6
+    # Reached targets, at most half of them; [1, 2] includes the empty one.
+    REACHED = {"first and last": [0, 4], "empty and one": [1, 2], "one": [3], "none": []}
+
+    @staticmethod
+    def _full_path(seg, n_src, weights, divisors, upstream):
+        return seg.transposed(n_src).gather_sum(upstream / divisors[:, None]) * weights[:, None]
+
+    @pytest.mark.parametrize("reached", REACHED.values(), ids=REACHED.keys())
+    @pytest.mark.parametrize("unit", [True, False])
+    @pytest.mark.parametrize("width", [1, 7])
+    def test_matches_full_gather_bitwise(
+        self, reached, unit, width, monkeypatch, restricted_steps
+    ):
+        monkeypatch.setattr(autodiff, "ROW_RESTRICT_FLOOR", 1)
+        rng = np.random.default_rng(43)
+        seg = SegmentIndex.from_lists(self.LISTS)
+        weights = np.ones(self.N) if unit else rng.uniform(0.5, 2.0, self.N)
+        divisors = rng.uniform(0.5, 3.0, len(self.LISTS))
+        upstream = np.zeros((len(self.LISTS), width))
+        upstream[reached] = rng.normal(size=(len(reached), width))
+        # A zero row of -0.0 entries still carries no gradient.
+        upstream[[t for t in range(len(self.LISTS)) if t not in reached][0]] = -0.0
+        x_values = rng.normal(size=(self.N, width))
+        _, grad = _forward_and_grad(x_values, seg, weights, divisors, upstream)
+        assert restricted_steps == [True]
+        # Byte equality also pins the sign of every zero.
+        assert grad.tobytes() == self._full_path(seg, self.N, weights, divisors, upstream).tobytes()
+        _, ref_grad = _add_at_reference(x_values, seg, weights, divisors, upstream)
+        assert grad.tobytes() == ref_grad.tobytes()
+
+    def test_more_than_half_reached_runs_dense(self, monkeypatch, restricted_steps):
+        monkeypatch.setattr(autodiff, "ROW_RESTRICT_FLOOR", 1)
+        rng = np.random.default_rng(44)
+        seg = SegmentIndex.from_lists(self.LISTS)
+        upstream = np.zeros((len(self.LISTS), 3))
+        upstream[[0, 2, 4]] = rng.normal(size=(3, 3))
+        _forward_and_grad(rng.normal(size=(self.N, 3)), seg, np.ones(self.N), np.ones(5), upstream)
+        assert restricted_steps == [False]
+
+    def test_many_blocks_skip_the_unmarked_sources(self, monkeypatch):
+        # Blocks of 3 rows of width 2 (see the many-blocks test above), with
+        # marked sources in some blocks and none in others.
+        monkeypatch.setattr(autodiff, "GATHER_BLOCK", 6)
+        rng = np.random.default_rng(45)
+        lists = [[0, 3], [], [1, 2, 3, 4, 5, 6, 7], [2], [], [0, 5], [6], [1, 7], [3, 4], []]
+        seg = SegmentIndex.from_lists(lists)
+        marked = np.zeros(8, dtype=bool)
+        marked[[1, 6]] = True
+        values = np.zeros((8, 2))
+        values[marked] = rng.normal(size=(2, 2)) * 10.0 ** rng.integers(-8, 8, size=(2, 1))
+        summed = seg.gather_sum(values[marked], marked)
+        assert summed.tobytes() == seg.gather_sum(values).tobytes()
+        assert len(seg.blocks(2)) > 3
 
 
 class TestSoftmaxCrossEntropy:

@@ -6,7 +6,7 @@ fits against raw-route fits, and (alpha, beta) cross-validation."""
 import numpy as np
 import pytest
 
-from hnhn import training
+from hnhn import autodiff, training
 from hnhn.autodiff import Tape, Tensor, softmax_cross_entropy
 from hnhn.hypergraph import normalization_tables
 from hnhn.model import edge_logits, fold_input, forward, init_model, predict
@@ -407,6 +407,70 @@ class TestFoldedInputFit:
         assert np.allclose(metrics.losses, expected.losses, rtol=0.0, atol=self.TOL)
         assert metrics.train_accs == expected.train_accs
         assert metrics.test_accs == expected.test_accs
+
+
+def _wide_task(on_edges: bool):
+    """Random graph, features and three-class labels, 10% of rows labelled
+    for training, at sizes whose hidden gradients (600 x 128) lie above the
+    floor of the row-restricted backward."""
+    h = random_hypergraph(600, 600, seed=5, min_size=2, max_size=5)
+    rng = CounterRng(6)
+    features = rng.uniform(0.0, 1.0, (h.n, 30))
+    labels = rng.integers(3, h.m if on_edges else h.n).astype(np.int64)
+    mask = np.zeros(len(labels), dtype=bool)
+    mask[::10] = True
+    return h, features, labels, mask
+
+
+class TestRestrictedBackwardFit:
+    EPOCHS = 6
+    # The weight and bias gradients sum the reached rows only, grouped
+    # differently: parameters and losses agree to this absolute tolerance,
+    # and every per-epoch accuracy is equal.
+    TOL = 1e-12
+
+    # (edge task, n_layers, dropout)
+    CASES = {
+        "one-layer node": (False, 1, 0.0),
+        "one-layer edge": (True, 1, 0.0),
+        "two-layer node, dropout 0.3": (False, 2, 0.3),
+    }
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_matches_dense_backward_fit(self, case, monkeypatch, restricted_steps):
+        on_edges, n_layers, dropout = case
+        h, features, labels, mask = _wide_task(on_edges)
+        config = TrainConfig(
+            epochs=self.EPOCHS,
+            hidden_dim=128,
+            n_layers=n_layers,
+            dropout=dropout,
+            alpha=0.25,
+            beta=-0.5,
+            seed=3,
+        )
+        fit = train_edge_classifier if on_edges else train_node_classifier
+        model, metrics = fit(h, features, labels, mask, config)
+        assert any(restricted_steps)
+        restricted_steps.clear()
+        monkeypatch.setattr(autodiff, "ROW_RESTRICT_FLOOR", np.iinfo(np.int64).max)
+        dense, expected = fit(h, features, labels, mask, config)
+        assert not any(restricted_steps)
+
+        for ours, theirs in zip(model.parameters(), dense.parameters()):
+            assert np.allclose(ours.values, theirs.values, rtol=0.0, atol=self.TOL)
+        assert np.allclose(metrics.losses, expected.losses, rtol=0.0, atol=self.TOL)
+        assert metrics.train_accs == expected.train_accs
+        assert metrics.test_accs == expected.test_accs
+
+
+class TestFitsReleaseGradients:
+    @pytest.mark.parametrize("on_edges", [False, True])
+    def test_no_parameter_keeps_a_gradient(self, on_edges):
+        h, features, labels, mask = _small_edge_task() if on_edges else _small_task()
+        fit = train_edge_classifier if on_edges else train_node_classifier
+        model, _ = fit(h, features, labels, mask, TrainConfig(epochs=3, hidden_dim=8, seed=0))
+        assert all(p.grad is None for p in model.parameters())
 
 
 class TestEdgeTrainingLoop:

@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from hnhn import autodiff
 from hnhn.bench import BenchPoint, _time_step
 from hnhn.expansion import build_hypergraph, fano_pair
 from hnhn.gradcheck import REL_TOL, SIZES, gradcheck_model
@@ -88,6 +89,16 @@ class TestGradcheck:
 
     def test_deterministic(self):
         assert gradcheck_model("small") == gradcheck_model("small")
+
+    def test_row_restricted_backward_within_tolerance(self, monkeypatch, restricted_steps):
+        # Both fixtures' gradients lie below the size floor. With the floor
+        # lowered, the loss rows (every other node and edge) restrict the
+        # head steps and the node layer and aggregation below them.
+        monkeypatch.setattr(autodiff, "ROW_RESTRICT_FLOOR", 1)
+        for size in SIZES:
+            restricted_steps.clear()
+            assert gradcheck_model(size) < REL_TOL
+            assert any(restricted_steps)
 
     def test_sizes_exposed(self):
         assert set(SIZES) == {"small", "medium"}
